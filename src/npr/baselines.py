@@ -18,17 +18,12 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import linalg as spla
 
+from .design import independent_columns
 from .exceptions import ConvergenceError, DegenerateDesignError
-from .graph import RowStochasticOperator
+from .graph import RowStochasticOperator, _as_rng
 
 NEUMANN_TOL = 1e-10
 NEUMANN_MAX_TERMS = 10_000
-
-
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 @dataclass(frozen=True)
@@ -199,32 +194,12 @@ def gen_cohesion(block_labels, X, etas, mu_var: float, beta, sigma: float, seed=
     return y, mu
 
 
-def _screen_columns(M: np.ndarray, tol: float = 1e-10) -> list[int]:
-    """Indices of a maximal numerically independent column subset."""
-    kept: list[int] = []
-    basis = np.empty((M.shape[0], min(M.shape)), dtype=np.float64)
-    nb = 0
-    for idx in range(M.shape[1]):
-        v = M[:, idx]
-        norm0 = np.linalg.norm(v)
-        if norm0 == 0:
-            continue
-        r = v.copy()
-        for _ in range(2):
-            if nb:
-                Q = basis[:, :nb]
-                r -= Q @ (Q.T @ r)
-        rn = np.linalg.norm(r)
-        if rn > tol * norm0:
-            kept.append(idx)
-            basis[:, nb] = r / rn
-            nb += 1
-    return kept
-
-
-def _two_stage_ls(Z: np.ndarray, H: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """2SLS estimate for regressors Z instrumented by H."""
-    keep = _screen_columns(H)
+def _two_stage_ls(Z: np.ndarray, H: np.ndarray, y: np.ndarray, rows=None) -> np.ndarray:
+    """2SLS estimate for regressors Z instrumented by H, estimated on
+    ``rows`` only when given."""
+    if rows is not None:
+        Z, H, y = Z[rows], H[rows], y[rows]
+    keep = independent_columns(H, tol=1e-10)
     if len(keep) < Z.shape[1]:
         raise DegenerateDesignError(
             f"instrument matrix rank {len(keep)} < {Z.shape[1]} regressors"
@@ -238,11 +213,13 @@ def _two_stage_ls(Z: np.ndarray, H: np.ndarray, y: np.ndarray) -> np.ndarray:
     return theta
 
 
-def fit_lim_2sls(W: RowStochasticOperator, X: np.ndarray, y: np.ndarray) -> LimParams:
+def fit_lim_2sls(W: RowStochasticOperator, X: np.ndarray, y: np.ndarray, rows=None) -> LimParams:
     """Instrumental-variable estimate of the first-order spillover model.
 
     The endogenous network lag of the response is instrumented by
     ``(1, X, WX, W^2 X)``, the canonical spatial 2SLS instrument set.
+    Network lags always use the full graph; when ``rows`` is given only
+    those rows enter the estimation.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
@@ -254,7 +231,7 @@ def fit_lim_2sls(W: RowStochasticOperator, X: np.ndarray, y: np.ndarray) -> LimP
     wy = W.apply(y)
     Z = np.column_stack([ones, X, wx, wy])
     H = np.column_stack([ones, X, wx, W.apply(wx)])
-    theta = _two_stage_ls(Z, H, y)
+    theta = _two_stage_ls(Z, H, y, rows)
     return LimParams(
         alpha=float(theta[0]),
         beta=theta[1:1 + d],
@@ -263,7 +240,7 @@ def fit_lim_2sls(W: RowStochasticOperator, X: np.ndarray, y: np.ndarray) -> LimP
     )
 
 
-def fit_lim2_2sls(W: RowStochasticOperator, X: np.ndarray, y: np.ndarray) -> Lim2Params:
+def fit_lim2_2sls(W: RowStochasticOperator, X: np.ndarray, y: np.ndarray, rows=None) -> Lim2Params:
     """Second-order analog of :func:`fit_lim_2sls` with two network lags of
     the response, instrumented by covariates propagated up to three steps."""
     X = np.asarray(X, dtype=np.float64)
@@ -278,7 +255,7 @@ def fit_lim2_2sls(W: RowStochasticOperator, X: np.ndarray, y: np.ndarray) -> Lim
     w2y = W.apply(wy)
     Z = np.column_stack([ones, X, wx, w2x, wy, w2y])
     H = np.column_stack([ones, X, wx, w2x, W.apply(w2x)])
-    theta = _two_stage_ls(Z, H, y)
+    theta = _two_stage_ls(Z, H, y, rows)
     return Lim2Params(
         alpha=float(theta[0]),
         gamma1=theta[1:1 + d],

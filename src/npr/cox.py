@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import PropagatedDesign
+from .graph import _as_rng
 from ._newton import newton_maximize
 
 DEFAULT_TOL = 1e-8
@@ -195,7 +196,7 @@ def simulate_cox_data(
     """
     if baseline_rate <= 0 or censor_rate <= 0:
         raise ValueError("rates must be positive")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = _as_rng(seed)
     M = design.selected_matrix() if design.selected is not None else design.full_matrix()
     lambda_true = np.asarray(lambda_true, dtype=np.float64).ravel()
     if lambda_true.shape[0] != M.shape[1]:

@@ -10,7 +10,7 @@ intercept for the Gaussian family.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,48 +22,46 @@ DEFAULT_SELECT_TOL = 1e-8
 
 @dataclass(eq=False)
 class PropagatedDesign:
-    """Stacked propagated covariate blocks with column provenance.
+    """The propagated design ``(X, WX, ..., W^K X)`` with column provenance.
 
-    ``provenance[c] == (k, j)`` means column c is covariate j diffused k
-    steps.  ``selected`` lists the column indices admitted by forward
-    selection, in scan order; ``column_means`` records the means subtracted
-    when the design was centered (needed to center new rows consistently
-    at prediction time).
+    ``matrix`` holds every column in one C-contiguous ``(n, (K+1)d)``
+    array.  ``provenance[c] == (k, j)`` means column c is covariate j
+    diffused k steps.  ``selected`` lists the column indices admitted by
+    forward selection, in scan order; ``column_means`` records the means
+    subtracted when the design was centered (needed to center new rows
+    consistently at prediction time).
     """
 
-    blocks: list[np.ndarray]
+    matrix: np.ndarray
     provenance: list[tuple[int, int]]
     selected: list[int] | None = None
     centered: bool = False
     column_means: np.ndarray | None = None
-    _stacked: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_rows(self) -> int:
-        return self.blocks[0].shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.blocks[0].shape[1]
+        return self.matrix.shape[0]
 
     @property
     def k_max(self) -> int:
-        return len(self.blocks) - 1
+        return self.provenance[-1][0]
+
+    @property
+    def d(self) -> int:
+        return self.n_columns // (self.k_max + 1)
 
     @property
     def n_columns(self) -> int:
         return len(self.provenance)
 
     def full_matrix(self) -> np.ndarray:
-        """All columns, stacked in provenance order (cached)."""
-        if self._stacked is None:
-            self._stacked = np.hstack(self.blocks)
-        return self._stacked
+        """All columns, in provenance order."""
+        return self.matrix
 
     def selected_matrix(self) -> np.ndarray:
         if self.selected is None:
             raise ValueError("design has not been forward-selected")
-        return self.full_matrix()[:, self.selected]
+        return self.matrix[:, self.selected]
 
     def column_names(self) -> list[str]:
         """Provenance-derived names, ``k{order}_x{covariate}`` (1-based x)."""
@@ -76,9 +74,8 @@ class PropagatedDesign:
         ``column_means`` still describes the transform originally applied,
         not the subset's own means.
         """
-        rows = np.asarray(rows)
         return PropagatedDesign(
-            blocks=[b[rows] for b in self.blocks],
+            matrix=self.matrix[np.asarray(rows)],
             provenance=list(self.provenance),
             selected=None if self.selected is None else list(self.selected),
             centered=self.centered,
@@ -91,7 +88,7 @@ def build_design(W: RowStochasticOperator, X: np.ndarray, K: int) -> PropagatedD
     blocks = propagate(W, X, K)
     d = blocks[0].shape[1]
     provenance = [(k, j) for k in range(K + 1) for j in range(d)]
-    return PropagatedDesign(blocks=blocks, provenance=provenance)
+    return PropagatedDesign(matrix=np.hstack(blocks), provenance=provenance)
 
 
 def center(design: PropagatedDesign) -> PropagatedDesign:
@@ -100,17 +97,16 @@ def center(design: PropagatedDesign) -> PropagatedDesign:
     Idempotent up to floating point; the subtracted means are stored so new
     rows can be centered the same way later.
     """
-    means = np.concatenate([b.mean(axis=0) for b in design.blocks])
-    d = design.d
-    blocks = [b - means[k * d:(k + 1) * d] for k, b in enumerate(design.blocks)]
+    M = design.matrix
+    if design.d == 1:
+        # numpy sums a lone contiguous column pairwise but sums the columns
+        # of a wider array row by row; per-column means keep d = 1 designs
+        # on the pairwise sum, as when each order was a block of its own
+        means = np.array([col.mean() for col in M.T])
+    else:
+        means = M.mean(axis=0)
     prior = design.column_means if design.column_means is not None else 0.0
-    return replace(
-        design,
-        blocks=blocks,
-        centered=True,
-        column_means=prior + means,
-        _stacked=None,
-    )
+    return replace(design, matrix=M - means, centered=True, column_means=prior + means)
 
 
 def center_response(y: np.ndarray) -> np.ndarray:
@@ -119,22 +115,19 @@ def center_response(y: np.ndarray) -> np.ndarray:
     return y - y.mean()
 
 
-def forward_select(design: PropagatedDesign, tol: float = DEFAULT_SELECT_TOL) -> PropagatedDesign:
-    """Greedy screening of linearly independent columns.
+def independent_columns(M: np.ndarray, tol: float) -> list[int]:
+    """Indices of a maximal numerically independent column subset.
 
-    Columns are scanned in provenance order (ascending propagation order,
-    covariates within); a column is admitted iff the norm of its residual
-    after orthogonal projection onto the already-admitted span exceeds
-    ``tol`` times the column's own norm.  Modified Gram-Schmidt with one
-    re-orthogonalization pass keeps the admitted basis numerically sound.
+    Columns are scanned left to right; a column is admitted iff the norm of
+    its residual after orthogonal projection onto the already-admitted span
+    exceeds ``tol`` times the column's own norm.  Modified Gram-Schmidt
+    with one re-orthogonalization pass keeps the admitted basis
+    numerically sound.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    M = design.full_matrix()
     n, p = M.shape
     basis = np.empty((n, min(n, p)), dtype=np.float64)
     n_basis = 0
-    selected: list[int] = []
+    kept: list[int] = []
     for idx in range(p):
         v = M[:, idx]
         norm0 = np.linalg.norm(v)
@@ -147,10 +140,27 @@ def forward_select(design: PropagatedDesign, tol: float = DEFAULT_SELECT_TOL) ->
                 r -= Q @ (Q.T @ r)
         rnorm = np.linalg.norm(r)
         if rnorm > tol * norm0:
-            selected.append(idx)
+            kept.append(idx)
             if n_basis < basis.shape[1]:
                 basis[:, n_basis] = r / rnorm
                 n_basis += 1
+    return kept
+
+
+def forward_select(design: PropagatedDesign, tol: float = DEFAULT_SELECT_TOL) -> PropagatedDesign:
+    """Greedy screening of linearly independent columns.
+
+    Columns are scanned in provenance order (ascending propagation order,
+    covariates within) by :func:`independent_columns`, so lower orders win
+    ties.  A non-finite value anywhere in the design is an input error.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    M = design.matrix
+    bad = np.flatnonzero(~np.isfinite(M).all(axis=0))
+    if bad.size:
+        raise ValueError(f"design column {design.column_names()[bad[0]]} has a non-finite value")
+    selected = independent_columns(M, tol)
     if not selected:
         raise DegenerateDesignError("degenerate design: no independent columns")
     return replace(design, selected=selected)
@@ -187,7 +197,7 @@ def read_covariates(path, allow_empty: bool = False) -> np.ndarray:
 
 def write_design_csv(path, design: PropagatedDesign) -> None:
     """Diagnostic export of all columns under their provenance names."""
-    M = design.full_matrix()
+    M = design.matrix
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(design.column_names())

@@ -73,6 +73,9 @@ def fit_ols(design: PropagatedDesign, y: np.ndarray) -> GaussianFit:
     y = np.asarray(y, dtype=np.float64).ravel()
     if y.shape[0] != n:
         raise ValueError(f"response has {y.shape[0]} rows, design has {n}")
+    if not np.isfinite(y).all():
+        bad = int(np.flatnonzero(~np.isfinite(y))[0])
+        raise ValueError(f"response has a non-finite value at row {bad} (0-based)")
     if n <= p:
         raise ValueError("insufficient observations: need more rows than selected columns")
 

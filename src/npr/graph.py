@@ -152,14 +152,13 @@ def _as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _sample_ordered_pairs(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
-    """Sample ``count`` distinct ordered pairs (i, j), i != j, uniformly.
+def _sample_distinct_codes(rng: np.random.Generator, total: int, count: int) -> np.ndarray:
+    """Sample ``count`` distinct integers from ``[0, total)`` uniformly,
+    in random order.
 
-    Pairs are encoded as i*(n-1) + r with the r-th non-i column, so
-    self-pairs never occur.  Rejection of duplicates is cheap because the
-    target graphs are sparse.
+    Duplicates are rejected batch by batch; that is cheap because the
+    target graphs are sparse, so ``count`` is far below ``total``.
     """
-    total = n * (n - 1)
     if count > total:
         raise ValueError("cannot sample more pairs than exist")
     codes = np.empty(0, dtype=np.int64)
@@ -168,7 +167,16 @@ def _sample_ordered_pairs(rng: np.random.Generator, n: int, count: int) -> np.nd
         batch = rng.integers(0, total, size=int(need * 1.1) + 16)
         codes = np.unique(np.concatenate([codes, batch]))
     # np.unique sorts; keep a uniformly random subset of exactly `count`
-    codes = codes[rng.permutation(codes.size)[:count]]
+    return codes[rng.permutation(codes.size)[:count]]
+
+
+def _sample_ordered_pairs(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
+    """Sample ``count`` distinct ordered pairs (i, j), i != j, uniformly.
+
+    Pairs are encoded as i*(n-1) + r with the r-th non-i column, so
+    self-pairs never occur.
+    """
+    codes = _sample_distinct_codes(rng, n * (n - 1), count)
     src = codes // (n - 1)
     rem = codes % (n - 1)
     dst = np.where(rem < src, rem, rem + 1)
@@ -223,11 +231,7 @@ def gen_sbm(n: int, seed) -> tuple[DirectedGraph, np.ndarray]:
                     np.column_stack([members[a][pairs[:, 0]], members[a][pairs[:, 1]]])
                 )
             else:
-                codes = np.empty(0, dtype=np.int64)
-                while codes.size < m:
-                    batch = rng.integers(0, na * nb, size=int((m - codes.size) * 1.1) + 16)
-                    codes = np.unique(np.concatenate([codes, batch]))
-                codes = codes[rng.permutation(codes.size)[:m]]
+                codes = _sample_distinct_codes(rng, total, m)
                 chunks.append(
                     np.column_stack([members[a][codes // nb], members[b][codes % nb]])
                 )

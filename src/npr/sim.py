@@ -40,7 +40,7 @@ from .baselines import (
 )
 from .design import build_design, center, forward_select, DEFAULT_SELECT_TOL
 from .gaussian import Z_95, fit_ols, order_test, predict
-from .graph import DirectedGraph, gen_erdos_renyi, gen_powerlaw, gen_sbm, row_normalize
+from .graph import DirectedGraph, _as_rng, gen_erdos_renyi, gen_powerlaw, gen_sbm, row_normalize
 
 # scenario constants: spillover strengths, coefficient draw ranges and the
 # community-effect profile used by the four generating mechanisms
@@ -200,7 +200,7 @@ def split_scenarios(graph: DirectedGraph, frac: float, mode: str, seed, case: in
         raise ValueError("mode must be 'linked' or 'isolated'")
     if not 0.0 < frac < 1.0:
         raise ValueError("degenerate split: frac must lie strictly between 0 and 1")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = _as_rng(seed)
     n = graph.n_nodes
     n_train = int(round(frac * n))
     if n_train < 1 or n_train >= n:
@@ -240,36 +240,8 @@ def _oracle_structural(setting, W, X, y, params, aux):
 
 
 def _competitor_fit(name, W, X, y, rows):
-    trans = {"lim": fit_lim_2sls, "lim2": fit_lim2_2sls}[name]
-    Xr = np.asarray(X, dtype=np.float64)
-    yr = np.asarray(y, dtype=np.float64)
-    if rows is None:
-        return trans(W, Xr, yr)
-    # transforms use the full network; estimation uses the given rows only
-    if name == "lim":
-        ones = np.ones(W.n_nodes)
-        wx = W.apply(Xr)
-        Z = np.column_stack([ones, Xr, wx, W.apply(yr)])
-        H = np.column_stack([ones, Xr, wx, W.apply(wx)])
-        theta = baselines._two_stage_ls(Z[rows], H[rows], yr[rows])
-        d = Xr.shape[1]
-        return LimParams(alpha=float(theta[0]), beta=theta[1:1 + d], delta=theta[1 + d:1 + 2 * d], rho=float(theta[-1]))
-    ones = np.ones(W.n_nodes)
-    wx = W.apply(Xr)
-    w2x = W.apply(wx)
-    wy = W.apply(yr)
-    Z = np.column_stack([ones, Xr, wx, w2x, wy, W.apply(wy)])
-    H = np.column_stack([ones, Xr, wx, w2x, W.apply(w2x)])
-    theta = baselines._two_stage_ls(Z[rows], H[rows], yr[rows])
-    d = Xr.shape[1]
-    return Lim2Params(
-        alpha=float(theta[0]),
-        gamma1=theta[1:1 + d],
-        gamma2=theta[1 + d:1 + 2 * d],
-        gamma3=theta[1 + 2 * d:1 + 3 * d],
-        rho1=float(theta[-2]),
-        rho2=float(theta[-1]),
-    )
+    fit = {"lim": fit_lim_2sls, "lim2": fit_lim2_2sls}[name]
+    return fit(W, X, y, rows=rows)
 
 
 def _competitor_structural(name, W, X, y, params):

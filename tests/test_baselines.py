@@ -280,6 +280,56 @@ class TestTwoStageLeastSquares:
         resid_rms = np.sqrt(np.mean((y - pred) ** 2))
         assert 0.9 < resid_rms < 1.1
 
+    def test_row_subset_matches_full_graph_reference(self):
+        rng = np.random.default_rng(22)
+        n, d = 300, 2
+        g = gen_erdos_renyi(n, rng)
+        W = row_normalize(g)
+        X = rng.standard_normal((n, d))
+        y = gen_lim2(W, X, lim2_params(rng), sigma=0.5, seed=rng)
+        rows = np.sort(rng.permutation(n)[:240])
+        ones = np.ones(n)
+        wx = W.apply(X)
+        w2x = W.apply(wx)
+        wy = W.apply(y)
+        w2y = W.apply(wy)
+
+        def reference(Z, H):
+            # network lags on the full graph; estimation on the rows only
+            Zr, Hr, yr = Z[rows], H[rows], y[rows]
+            Zhat = Hr @ np.linalg.lstsq(Hr, Zr, rcond=None)[0]
+            return np.linalg.lstsq(Zhat, yr, rcond=None)[0]
+
+        theta = reference(
+            np.column_stack([ones, X, wx, wy]),
+            np.column_stack([ones, X, wx, w2x]),
+        )
+        est = fit_lim_2sls(W, X, y, rows=rows)
+        got = np.concatenate([[est.alpha], est.beta, est.delta, [est.rho]])
+        assert np.abs(got - theta).max() < 1e-10
+
+        theta2 = reference(
+            np.column_stack([ones, X, wx, w2x, wy, w2y]),
+            np.column_stack([ones, X, wx, w2x, W.apply(w2x)]),
+        )
+        est2 = fit_lim2_2sls(W, X, y, rows=rows)
+        got2 = np.concatenate(
+            [[est2.alpha], est2.gamma1, est2.gamma2, est2.gamma3, [est2.rho1, est2.rho2]]
+        )
+        assert np.abs(got2 - theta2).max() < 1e-10
+
+    def test_all_rows_equals_no_rows(self):
+        rng = np.random.default_rng(23)
+        W, X = setup(rng, n=200)
+        y = gen_lim2(W, X, lim2_params(rng), sigma=0.5, seed=rng)
+        everyone = np.arange(200)
+        a, b = fit_lim_2sls(W, X, y), fit_lim_2sls(W, X, y, rows=everyone)
+        assert (a.alpha, a.rho) == (b.alpha, b.rho)
+        assert np.array_equal(a.beta, b.beta) and np.array_equal(a.delta, b.delta)
+        a2, b2 = fit_lim2_2sls(W, X, y), fit_lim2_2sls(W, X, y, rows=everyone)
+        for name in ("alpha", "rho1", "rho2", "gamma1", "gamma2", "gamma3"):
+            assert np.array_equal(getattr(a2, name), getattr(b2, name))
+
 
 class TestReducedFormPredictors:
     def test_first_order_matches_dense(self):

@@ -100,6 +100,35 @@ class TestFitCommand:
         assert code == 1
         assert "separation" in capsys.readouterr().err
 
+    def test_nan_covariate_exits_2_naming_the_column(self, tmp_path, capsys):
+        lines = (TOY / "covariates.csv").read_text().splitlines()
+        lines[3] = "nan," + lines[3].split(",")[1]
+        (tmp_path / "x.csv").write_text("\n".join(lines) + "\n")
+        code = run(
+            "fit", "--family", "gaussian",
+            "--edges", str(TOY / "edges.csv"),
+            "--covariates", str(tmp_path / "x.csv"),
+            "--response", str(TOY / "response.csv"),
+            "--K", "2", "--out", str(tmp_path / "o.json"),
+        )
+        assert code == 2
+        assert "k0_x1" in capsys.readouterr().err
+        assert not (tmp_path / "o.json").exists()
+
+    def test_inf_response_exits_2_naming_the_response(self, tmp_path, capsys):
+        lines = (TOY / "response.csv").read_text().splitlines()
+        lines[5] = "inf"
+        (tmp_path / "y.csv").write_text("\n".join(lines) + "\n")
+        code = run(
+            "fit", "--family", "gaussian",
+            "--edges", str(TOY / "edges.csv"),
+            "--covariates", str(TOY / "covariates.csv"),
+            "--response", str(tmp_path / "y.csv"),
+            "--K", "2", "--out", str(tmp_path / "o.json"),
+        )
+        assert code == 2
+        assert "response" in capsys.readouterr().err
+
     def test_cox_fit_from_files(self, tmp_path):
         rng = np.random.default_rng(0)
         n = 40

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import linalg as sla
 
 from npr.design import (
     PropagatedDesign,
@@ -7,6 +8,7 @@ from npr.design import (
     center,
     center_response,
     forward_select,
+    independent_columns,
     read_covariates,
     write_design_csv,
 )
@@ -40,8 +42,7 @@ class TestBuildDesign:
         rng = np.random.default_rng(2)
         W, X = random_setup(rng)
         design = build_design(W, X, 3)
-        for mine, theirs in zip(design.blocks, propagate(W, X, 3)):
-            assert np.array_equal(mine, theirs)
+        assert np.array_equal(design.full_matrix(), np.hstack(propagate(W, X, 3)))
 
     def test_column_names(self):
         rng = np.random.default_rng(3)
@@ -52,12 +53,12 @@ class TestBuildDesign:
 
 class TestCenter:
     def test_constant_column_becomes_zero(self):
-        design = PropagatedDesign(blocks=[np.ones((4, 1))], provenance=[(0, 0)])
+        design = PropagatedDesign(matrix=np.ones((4, 1)), provenance=[(0, 0)])
         centered = center(design)
         assert np.allclose(centered.full_matrix(), 0.0)
 
     def test_simple_column(self):
-        design = PropagatedDesign(blocks=[np.array([[1.0], [2.0], [3.0]])], provenance=[(0, 0)])
+        design = PropagatedDesign(matrix=np.array([[1.0], [2.0], [3.0]]), provenance=[(0, 0)])
         assert np.allclose(center(design).full_matrix().ravel(), [-1, 0, 1])
 
     def test_idempotent(self):
@@ -79,7 +80,7 @@ class TestForwardSelect:
         rng = np.random.default_rng(5)
         x = rng.standard_normal((20, 1))
         design = PropagatedDesign(
-            blocks=[np.hstack([x, x])], provenance=[(0, 0), (0, 1)]
+            matrix=np.hstack([x, x]), provenance=[(0, 0), (0, 1)]
         )
         assert forward_select(design).selected == [0]
 
@@ -114,8 +115,27 @@ class TestForwardSelect:
         assert d1.selected == d2.selected
 
     def test_degenerate_design_raises(self):
-        design = PropagatedDesign(blocks=[np.zeros((5, 2))], provenance=[(0, 0), (0, 1)])
+        design = PropagatedDesign(matrix=np.zeros((5, 2)), provenance=[(0, 0), (0, 1)])
         with pytest.raises(DegenerateDesignError, match="degenerate"):
+            forward_select(design)
+
+    def test_later_column_survives_an_earlier_duplicate(self):
+        # column 1 duplicates column 0; column 2 keeps 0.6 of its norm after
+        # projection onto column 0, so it is independent and must be kept
+        M = np.array([[1.0, 1, 1], [-2, -2, 2], [2, 2, -2], [-1, -1, 1]])
+        design = PropagatedDesign(matrix=M, provenance=[(0, 0), (0, 1), (0, 2)])
+        assert forward_select(design).selected == [0, 2]
+        assert independent_columns(M, tol=1e-8) == [0, 2]
+        # the unpivoted Householder rule |R_jj| > tol * ||M_j|| drops it,
+        # because the dependent column's reflector absorbs part of column 2
+        R = sla.qr(M, mode="r")[0]
+        kept = [j for j in range(3) if abs(R[j, j]) > 1e-8 * np.linalg.norm(M[:, j])]
+        assert kept == [0]
+
+    def test_non_finite_column_rejected_by_name(self):
+        X = np.array([[1.0, 2.0], [np.inf, 0.5], [3.0, 1.0]])
+        design = PropagatedDesign(matrix=X, provenance=[(0, 0), (0, 1)])
+        with pytest.raises(ValueError, match="k0_x1"):
             forward_select(design)
 
     def test_selected_submatrix_nonsingular_vs_svd_oracle(self):

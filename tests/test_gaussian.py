@@ -78,7 +78,7 @@ class TestFitOls:
         # with a manually selected over-wide design
         rng = np.random.default_rng(3)
         design = PropagatedDesign(
-            blocks=[rng.standard_normal((4, 5))],
+            matrix=rng.standard_normal((4, 5)),
             provenance=[(0, j) for j in range(5)],
             selected=list(range(5)),
             centered=True,
