@@ -25,7 +25,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .cox import SurvivalData, fit_cox
+from .cox import CoxFit, SurvivalData, fit_cox, predict_relative_risk
 from .design import build_design, center, forward_select, read_covariates
 from .exceptions import ModelError
 from .gaussian import (
@@ -35,8 +35,8 @@ from .gaussian import (
     predict as predict_gaussian,
     t_statistics,
 )
-from .graph import read_edge_list
-from .logistic import auc, fit_logistic, predict_proba
+from .graph import _read_csv, read_edge_list
+from .logistic import LogisticFit, auc, fit_logistic, predict_proba
 from .schemas import validate_report
 from .sim import ScenarioConfig, run_prediction_study, run_test_study
 
@@ -91,37 +91,15 @@ def _write_report(report: dict, path) -> None:
 
 
 def _read_single_column(path, column: str) -> np.ndarray:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != [column]:
-            raise ValueError(f"{path}: expected single-column header '{column}'")
-        values = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 1:
-                raise ValueError(f"{path}:{lineno}: expected one column")
-            try:
-                values.append(float(row[0]))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: non-numeric value") from exc
-    if not values:
-        raise ValueError(f"{path}: no data rows")
-    return np.asarray(values)
+    return _read_csv(path, [column], np.float64)[:, 0]
 
 
-def _load_design(args, n_expected: int | None = None, K: int | None = None):
-    X = read_covariates(args.covariates)
-    graph = read_edge_list(args.edges, n_nodes=X.shape[0])
-    if n_expected is not None and X.shape[0] != n_expected:
-        raise ValueError(
-            f"covariates have {X.shape[0]} rows but {n_expected} were expected"
-        )
+def _load_design(args, X: np.ndarray, K: int):
+    """The propagated design of covariates ``X`` on the graph in ``args.edges``."""
     from .graph import row_normalize
 
-    W = row_normalize(graph)
-    return build_design(W, X, K if K is not None else args.K), X
+    graph = read_edge_list(args.edges, n_nodes=X.shape[0])
+    return build_design(row_normalize(graph), X, K)
 
 
 def _coefficient_records(names, provenance, selected, estimates, std_errors):
@@ -149,7 +127,7 @@ def cmd_fit(args) -> None:
         if args.time is None or args.event is None:
             raise ValueError("--time and --event are required for family cox")
 
-    design, _ = _load_design(args)
+    design = _load_design(args, read_covariates(args.covariates), args.K)
     report = {
         "schema_version": 1,
         "kind": "fit",
@@ -165,8 +143,8 @@ def cmd_fit(args) -> None:
 
     if args.family == "gaussian":
         y = _read_single_column(args.response, "y")
-        selected = forward_select(center(design), tol=args.tol)
-        fit = fit_ols(selected, y)
+        design = center(design)  # rebinding frees the raw design before selection and the fit
+        fit = fit_ols(forward_select(design, tol=args.tol), y)
         stats = t_statistics(fit)
         report["selected_columns"] = [int(c) for c in fit.selected]
         report["coefficients"] = _coefficient_records(
@@ -231,30 +209,56 @@ def _fit_from_json(path) -> dict:
     return payload
 
 
-def _rebuild_gaussian_fit(payload: dict) -> GaussianFit:
-    if payload["family"] != "gaussian":
-        raise ValueError("order tests require a gaussian-family fit")
-    g = payload["gaussian"]
+def _rebuild_fit(payload: dict):
+    """The family's fit object from a fit report, as far as prediction and
+    the order tests need it (the Newton information and trace are not
+    reported)."""
     K, d = payload["K"], payload["d"]
-    provenance = [(k, j) for k in range(K + 1) for j in range(d)]
-    selected = [int(c) for c in payload["selected_columns"]]
     coefs = payload["coefficients"]
-    theta = np.asarray([c["estimate"] for c in coefs])
+    common = {
+        "selected": [int(c) for c in payload["selected_columns"]],
+        "provenance": [(k, j) for k in range(K + 1) for j in range(d)],
+        "column_names": [c["name"] for c in coefs],
+        "n": payload["n"],
+    }
+    estimates = np.asarray([c["estimate"] for c in coefs])
     ses = np.asarray([c["std_error"] for c in coefs])
-    return GaussianFit(
-        theta_hat=theta,
-        selected=selected,
-        provenance=provenance,
-        column_names=[c["name"] for c in coefs],
-        rss=g["rss"],
-        sigma2_hat=g["sigma2_hat"],
-        gram=np.asarray(g["gram"]),
-        gram_inverse=np.asarray(g["gram_inverse"]),
+    if payload["family"] == "gaussian":
+        g = payload["gaussian"]
+        return GaussianFit(
+            theta_hat=estimates,
+            rss=g["rss"],
+            sigma2_hat=g["sigma2_hat"],
+            gram=np.asarray(g["gram"]),
+            gram_inverse=np.asarray(g["gram_inverse"]),
+            std_errors=ses,
+            d_sel=len(coefs),
+            column_means=np.asarray(g["column_means"]),
+            y_mean=g["y_mean"],
+            **common,
+        )
+    if payload["family"] == "logistic":
+        lg = payload["logistic"]
+        return LogisticFit(
+            theta_hat=np.concatenate([[lg["intercept"]], estimates]),
+            log_likelihood=lg["log_likelihood"],
+            iterations=lg["iterations"],
+            converged=lg["converged"],
+            information=None,
+            std_errors=np.concatenate([[lg["intercept_std_error"]], ses]),
+            loglik_trace=[],
+            **common,
+        )
+    cx = payload["cox"]
+    return CoxFit(
+        lambda_hat=estimates,
+        partial_loglik=cx["partial_loglik"],
+        information=None,
         std_errors=ses,
-        n=payload["n"],
-        d_sel=len(selected),
-        column_means=np.asarray(g["column_means"]),
-        y_mean=g["y_mean"],
+        iterations=cx["iterations"],
+        converged=cx["converged"],
+        loglik_trace=[],
+        **common,
     )
 
 
@@ -263,7 +267,9 @@ def cmd_test(args) -> None:
     if not 0.0 < args.alpha < 1.0:
         raise ValueError("--alpha must lie strictly between 0 and 1")
     payload = _fit_from_json(args.fit)
-    fit = _rebuild_gaussian_fit(payload)
+    if payload["family"] != "gaussian":
+        raise ValueError("order tests require a gaussian-family fit")
+    fit = _rebuild_fit(payload)
     if args.kmax > payload["K"]:
         raise ValueError(f"--kmax {args.kmax} exceeds the fit's K={payload['K']}")
     result = order_test(fit, None, k_max=args.kmax, xi=args.alpha)
@@ -285,28 +291,10 @@ def cmd_predict(args) -> None:
         raise ValueError(
             f"covariates have {X.shape[1]} columns but the fit used {payload['d']}"
         )
-    if X.shape[0] == 0:
-        with open(args.out, "w", newline="") as fh:
-            csv.writer(fh).writerow(["node", "prediction"])
-        return
-    graph = read_edge_list(args.edges, n_nodes=X.shape[0])
-    from .graph import row_normalize
-
-    design = build_design(row_normalize(graph), X, payload["K"])
-    family = payload["family"]
-    if family == "gaussian":
-        fit = _rebuild_gaussian_fit(payload)
-        values = predict_gaussian(fit, design)
-    else:
-        selected = [int(c) for c in payload["selected_columns"]]
-        estimates = np.asarray([c["estimate"] for c in payload["coefficients"]])
-        M = design.full_matrix()[:, selected]
-        if family == "logistic":
-            from scipy.special import expit
-
-            values = expit(payload["logistic"]["intercept"] + M @ estimates)
-        else:
-            values = np.exp(M @ estimates)
+    values = []
+    if X.shape[0]:  # an empty covariate file has no graph to read
+        predictors = {"gaussian": predict_gaussian, "logistic": predict_proba, "cox": predict_relative_risk}
+        values = predictors[payload["family"]](_rebuild_fit(payload), _load_design(args, X, payload["K"]))
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["node", "prediction"])
@@ -334,22 +322,23 @@ def _resolve_seed(args) -> int:
     return args.seed
 
 
-def cmd_simulate(args) -> None:
-    run = _Run("simulate", args, [])
+def _run_study(args, command: str, study: str, setting: int, runner) -> None:
+    """Run a seeded simulation study; write its report and, if asked, its CSV rows."""
+    run = _Run(command, args, [])
     run.seed = _resolve_seed(args)
     cfg = ScenarioConfig(
         case=args.case,
-        setting=args.setting,
+        setting=setting,
         n=args.n,
         reps=args.reps,
         seed=args.seed,
         train_frac=args.train_frac,
     )
-    report_obj = run_prediction_study(cfg)
+    report_obj = runner(cfg)
     report = {
         "schema_version": 1,
         "kind": "simulation",
-        "study": "prediction",
+        "study": study,
         "config": report_obj.config,
         "reps": report_obj.reps,
         "metrics": report_obj.metrics,
@@ -358,32 +347,14 @@ def cmd_simulate(args) -> None:
     _write_report(report, args.out)
     if args.csv:
         _replicate_csv(args.csv, report_obj)
+
+
+def cmd_simulate(args) -> None:
+    _run_study(args, "simulate", "prediction", args.setting, run_prediction_study)
 
 
 def cmd_simulate_test(args) -> None:
-    run = _Run("simulate-test", args, [])
-    run.seed = _resolve_seed(args)
-    cfg = ScenarioConfig(
-        case=args.case,
-        setting=3,
-        n=args.n,
-        reps=args.reps,
-        seed=args.seed,
-        train_frac=args.train_frac,
-    )
-    report_obj = run_test_study(cfg, n_nulls=args.nulls)
-    report = {
-        "schema_version": 1,
-        "kind": "simulation",
-        "study": "testing",
-        "config": report_obj.config,
-        "reps": report_obj.reps,
-        "metrics": report_obj.metrics,
-        "manifest": run.manifest(),
-    }
-    _write_report(report, args.out)
-    if args.csv:
-        _replicate_csv(args.csv, report_obj)
+    _run_study(args, "simulate-test", "testing", 3, lambda cfg: run_test_study(cfg, n_nulls=args.nulls))
 
 
 def cmd_eval_auc(args) -> None:
@@ -393,7 +364,10 @@ def cmd_eval_auc(args) -> None:
     if payload["family"] != "logistic":
         raise ValueError("eval-auc requires a logistic-family fit configuration")
     y = _read_single_column(args.response, "y")
-    design, _ = _load_design(args, n_expected=y.shape[0], K=payload["K"])
+    X = read_covariates(args.covariates)
+    if X.shape[0] != y.shape[0]:
+        raise ValueError(f"covariates have {X.shape[0]} rows but {y.shape[0]} were expected")
+    design = _load_design(args, X, payload["K"])
     tol = payload["tol"]
     rng = np.random.default_rng(args.seed)
     n = design.n_rows

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .exceptions import DegenerateDesignError
-from .graph import RowStochasticOperator, propagate
+from .graph import RowStochasticOperator, _read_csv, propagate
 
 DEFAULT_SELECT_TOL = 1e-8
 
@@ -168,31 +168,7 @@ def forward_select(design: PropagatedDesign, tol: float = DEFAULT_SELECT_TOL) ->
 
 def read_covariates(path, allow_empty: bool = False) -> np.ndarray:
     """Read an N x d covariate matrix from a CSV with header ``x1..xd``."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty file")
-        header = [h.strip() for h in header]
-        expected = [f"x{i + 1}" for i in range(len(header))]
-        if header != expected:
-            raise ValueError(f"{path}: expected header {','.join(expected)}")
-        d = len(header)
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != d:
-                raise ValueError(f"{path}:{lineno}: expected {d} columns, got {len(row)}")
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: non-numeric value") from exc
-    if not rows:
-        if allow_empty:
-            return np.empty((0, d), dtype=np.float64)
-        raise ValueError(f"{path}: no data rows")
-    return np.asarray(rows, dtype=np.float64)
+    return _read_csv(path, None, np.float64, allow_empty)
 
 
 def write_design_csv(path, design: PropagatedDesign) -> None:

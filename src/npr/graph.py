@@ -11,6 +11,7 @@ never materialized.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,8 +38,8 @@ class DirectedGraph:
                 raise ValueError("edge endpoint out of range [0, n_nodes)")
             if np.any(edges[:, 0] == edges[:, 1]):
                 raise ValueError("self-loops are not allowed")
-            codes = edges[:, 0] * self.n_nodes + edges[:, 1]
-            if np.unique(codes).size != codes.size:
+            codes = np.sort(edges[:, 0] * self.n_nodes + edges[:, 1])
+            if np.any(codes[1:] == codes[:-1]):
                 raise ValueError("duplicate edges are not allowed")
 
     @property
@@ -275,31 +276,73 @@ def gen_powerlaw(n: int, seed) -> DirectedGraph:
     return DirectedGraph(n_nodes=n, edges=np.concatenate(chunks))
 
 
+_LOADTXT = {"delimiter": ",", "comments": None, "quotechar": '"', "ndmin": 2}
+
+
+def _read_csv(path, header: list[str] | None, dtype, allow_empty: bool = False) -> np.ndarray:
+    """Parse an input CSV file: one header line, then rows of numbers.
+
+    ``header`` lists the expected column names; ``None`` stands for
+    ``x1,...,xd`` with d read from the file.  Header fields are compared
+    after stripping, so quoted names and surrounding spaces are allowed.
+    Blank and whitespace-only lines are skipped, every data row must have
+    the header's width and every value must parse as ``dtype`` (int64 node
+    ids or float64).  Returns a ``(rows, width)`` array.  A bad header
+    raises ``ValueError`` naming ``path``, a bad row one naming
+    ``path:line``.
+    """
+    with open(path) as fh:
+        line = fh.readline()
+        fields = [f.strip() for f in next(csv.reader([line]), [])]
+        if header is None and not line:
+            raise ValueError(f"{path}: empty file")
+        names = header or [f"x{i + 1}" for i in range(len(fields))]
+        if fields != names:
+            shown = ",".join(names)
+            raise ValueError(f"{path}: expected header " + (shown if header is None else f"'{shown}'"))
+        width = len(names)
+        rows = (row for row in fh if not row.isspace())
+        first = next(rows, None)
+        if first is None:
+            if not allow_empty:
+                raise ValueError(f"{path}: no data rows")
+            return np.empty((0, width), dtype=dtype)
+        try:
+            data = np.loadtxt(itertools.chain([first], rows), dtype=dtype, **_LOADTXT)
+            if data.shape[1] == width:
+                return data
+        except ValueError:
+            pass
+
+    # Some row is bad: halve the rows until the first bad one is left.
+    with open(path) as fh:
+        numbered = [(no, row) for no, row in enumerate(fh, start=1) if no > 1 and not row.isspace()]
+    lo, hi = 0, len(numbered)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            good = np.loadtxt([row for _, row in numbered[lo:mid]], dtype=dtype, **_LOADTXT).shape[1] == width
+        except ValueError:
+            good = False
+        lo, hi = (mid, hi) if good else (lo, mid)
+    lineno, row = numbered[lo]
+    got = len(next(csv.reader([row])))
+    if got != width:
+        raise ValueError(f"{path}:{lineno}: expected {width} column{'s' * (width != 1)}, got {got}")
+    what = "non-integer node id" if np.issubdtype(dtype, np.integer) else "non-numeric value"
+    raise ValueError(f"{path}:{lineno}: {what}")
+
+
 def read_edge_list(path, n_nodes: int | None = None) -> DirectedGraph:
     """Read a directed graph from a CSV file with header ``src,dst``.
 
     One 0-based integer edge per line.  When ``n_nodes`` is omitted it is
     inferred as one plus the largest node id.
     """
-    edges = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["src", "dst"]:
-            raise ValueError(f"{path}: expected header 'src,dst'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 2:
-                raise ValueError(f"{path}:{lineno}: expected two columns")
-            try:
-                edges.append((int(row[0]), int(row[1])))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: non-integer node id") from exc
-    arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    edges = _read_csv(path, ["src", "dst"], np.int64, allow_empty=True)
     if n_nodes is None:
-        n_nodes = int(arr.max()) + 1 if arr.size else 1
-    return DirectedGraph(n_nodes=n_nodes, edges=arr)
+        n_nodes = int(edges.max()) + 1 if edges.size else 1
+    return DirectedGraph(n_nodes=n_nodes, edges=edges)
 
 
 def write_edge_list(path, g: DirectedGraph) -> None:

@@ -129,6 +129,20 @@ class TestFitCommand:
         assert code == 2
         assert "response" in capsys.readouterr().err
 
+    def test_oversized_node_id_exits_2_naming_the_line(self, tmp_path, capsys):
+        lines = (TOY / "edges.csv").read_text().splitlines()
+        lines.append("99999999999999999999,1")
+        (tmp_path / "edges.csv").write_text("\n".join(lines) + "\n")
+        code = run(
+            "fit", "--family", "gaussian",
+            "--edges", str(tmp_path / "edges.csv"),
+            "--covariates", str(TOY / "covariates.csv"),
+            "--response", str(TOY / "response.csv"),
+            "--K", "2", "--out", str(tmp_path / "o.json"),
+        )
+        assert code == 2
+        assert f"edges.csv:{len(lines)}: non-integer node id" in capsys.readouterr().err
+
     def test_cox_fit_from_files(self, tmp_path):
         rng = np.random.default_rng(0)
         n = 40
@@ -259,6 +273,30 @@ class TestPredictCommand:
             "--covariates", str(bad),
             "--out", str(tmp_path / "p.csv"),
         ) == 2
+
+    def test_logistic_probabilities_use_the_reported_coefficients(self, tmp_path):
+        yb = (np.random.default_rng(2).random(24) < 0.5).astype(int)
+        yb[:2] = [0, 1]
+        write_rows(tmp_path / "yb.csv", ["y"], [[int(v)] for v in yb])
+        fit_out = tmp_path / "fitl.json"
+        common = ["--edges", str(TOY / "edges.csv"), "--covariates", str(TOY / "covariates.csv")]
+        assert run(
+            "fit", "--family", "logistic", *common, "--response", str(tmp_path / "yb.csv"),
+            "--K", "1", "--out", str(fit_out),
+        ) == 0
+        out = tmp_path / "p.csv"
+        assert run("predict", "--fit", str(fit_out), *common, "--out", str(out)) == 0
+        payload = json.loads(fit_out.read_text())
+        from npr.design import build_design
+        from npr.graph import read_edge_list, row_normalize
+        from scipy.special import expit
+
+        X = np.loadtxt(TOY / "covariates.csv", delimiter=",", skiprows=1)
+        M = build_design(row_normalize(read_edge_list(TOY / "edges.csv", n_nodes=24)), X, 1).full_matrix()
+        beta = np.array([c["estimate"] for c in payload["coefficients"]])
+        expected = expit(payload["logistic"]["intercept"] + M[:, payload["selected_columns"]] @ beta)
+        got = np.array([float(r["prediction"]) for r in csv.DictReader(open(out))])
+        assert np.array_equal(got, expected)
 
     def test_cox_relative_risk_output(self, tmp_path):
         rng = np.random.default_rng(3)

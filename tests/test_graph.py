@@ -1,6 +1,10 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
+from npr.design import read_covariates
 from npr.graph import (
     DirectedGraph,
     gen_erdos_renyi,
@@ -245,3 +249,38 @@ class TestEdgeListIO:
         path.write_text("src,dst\n0,1\nx,2\n")
         with pytest.raises(ValueError, match=":3"):
             read_edge_list(path)
+
+
+@pytest.mark.parametrize(
+    "reader, text, expected",
+    [
+        # blank and whitespace-only lines are skipped, \r\n line ends accepted
+        (read_edge_list, "src,dst\r\n0,1\r\n \t \r\n\r\n2,3\r\n", [[0, 1], [2, 3]]),
+        (read_edge_list, "src,dst\n", np.empty((0, 2))),
+        (read_edge_list, "src,dst\n0,1,2\n1,2\n", ":2: expected 2 columns, got 3"),
+        (read_edge_list, "src,dst\n0,1\n1,2\n2,3,4\n", ":4: expected 2 columns, got 3"),
+        (read_edge_list, "src,dst\n0,1\n99999999999999999999,1\n", ":3: non-integer node id"),
+        (read_edge_list, "src,dst\n0,1\n1.0,2\n", ":3: non-integer node id"),
+        # quoted header, spaces around fields
+        (read_covariates, '"x1","x2"\n 1.5 , -2 \n', [[1.5, -2.0]]),
+        # text after '#' is a bad value, not a comment
+        (read_covariates, "x1,x2\n1,2 # c\n", ":2: non-numeric value"),
+        # non-finite values are left to forward selection
+        (read_covariates, "x1,x2\nnan,inf\n", [[np.nan, np.inf]]),
+        # digit separators are not plain ASCII decimals
+        (read_covariates, "x1\n1\n\n1_000\n", ":4: non-numeric value"),
+        (read_covariates, "x1,x2\n", ": no data rows"),
+    ],
+)
+def test_csv_reader_rules(tmp_path, reader, text, expected):
+    path = tmp_path / "in.csv"
+    path.write_bytes(text.encode())
+    if isinstance(expected, str):
+        with pytest.raises(ValueError, match=re.escape(f"in.csv{expected}")):
+            reader(path)
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = reader(path)
+    got = got.edges if reader is read_edge_list else got
+    np.testing.assert_array_equal(got, expected)
