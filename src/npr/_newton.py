@@ -18,16 +18,17 @@ JITTER = 1e-10
 MAX_HALVINGS = 40
 
 
-def _solve_information(hess: np.ndarray, score: np.ndarray) -> np.ndarray:
+def _solve_information(hess: np.ndarray, score: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Newton step ``hess^-1 score``, and whether the ridge retry was needed."""
     try:
         c, low = sla.cho_factor(hess)
-        return sla.cho_solve((c, low), score)
+        return sla.cho_solve((c, low), score), False
     except np.linalg.LinAlgError:
         pass
     try:
         jittered = hess + JITTER * np.eye(hess.shape[0])
         c, low = sla.cho_factor(jittered)
-        return sla.cho_solve((c, low), score)
+        return sla.cho_solve((c, low), score), True
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError("information matrix is singular") from exc
 
@@ -43,22 +44,28 @@ def newton_maximize(objective, theta0, max_iter, tol, loglik, guard=None):
     divergent iterations.
 
     Returns ``(theta, value, iterations, converged, hessian_at_theta,
-    trace)`` where ``trace`` lists the objective value at the start and
-    after every accepted step.
+    trace, step_halvings, jitter_retry)`` where ``trace`` lists the
+    objective value at the start and after every accepted step,
+    ``step_halvings`` counts the rejected (halved) candidate steps and
+    ``jitter_retry`` tells whether any step needed the ridge retry.
     """
     theta = np.asarray(theta0, dtype=np.float64).copy()
     value, score, hess = objective(theta)
     trace = [value]
     converged = False
     iterations = 0
+    step_halvings = 0
+    jitter_retry = False
     for iterations in range(1, max_iter + 1):
-        step = _solve_information(hess, score)
+        step, jittered = _solve_information(hess, score)
+        jitter_retry |= jittered
         scale = 1.0
         for _ in range(MAX_HALVINGS):
             candidate = theta + scale * step
             cand_value = loglik(candidate)
             if np.isfinite(cand_value) and cand_value >= value:
                 break
+            step_halvings += 1
             scale *= 0.5
         else:
             # objective cannot be improved along the Newton direction;
@@ -74,4 +81,4 @@ def newton_maximize(objective, theta0, max_iter, tol, loglik, guard=None):
         if step_inf < tol:
             converged = True
             break
-    return theta, value, iterations, converged, hess, trace
+    return theta, value, iterations, converged, hess, trace, step_halvings, jitter_retry

@@ -3,10 +3,11 @@
 Maximum partial likelihood with Breslow handling of tied event times.  The
 risk-set sums are accumulated in a single pass over the observations sorted
 by descending time (subjects sharing a time enter the risk set together, so
-censored subjects at an event time remain at risk for it), which costs
-O(N log N) for the sort plus O(N d) per evaluation for the score and
-O(N d^2) for the information.  The partial likelihood depends on the times
-only through their ranks.
+censored subjects at an event time remain at risk for it).  The sort costs
+O(N log N) once; each evaluation then makes O(N d) passes for the score and
+one O(N d^2) product for the information, and only the tie groups of two or
+more rows go through ``np.add.reduceat`` (a singleton group's sum is its
+row).  The partial likelihood depends on the times only through their ranks.
 """
 
 from __future__ import annotations
@@ -68,6 +69,8 @@ class CoxFit:
     converged: bool
     n: int
     loglik_trace: list[float]
+    step_halvings: int = 0  # rejected Newton candidates over the fit
+    jitter_retry: bool = False  # some step needed the ridge retry
 
 
 class _RiskSetEngine:
@@ -83,17 +86,35 @@ class _RiskSetEngine:
         change = np.flatnonzero(np.diff(t_sorted) != 0.0) + 1
         self.starts = np.concatenate([[0], change])
         self.ends = np.concatenate([change, [t_sorted.size]])
+        # groups of two or more rows, and the reduceat bounds that sum
+        # exactly their rows: start, end of each, without a final end == n
+        self.tied = np.flatnonzero(self.ends - self.starts > 1)
+        bounds = np.column_stack([self.starts[self.tied], self.ends[self.tied]]).ravel()
+        self.tied_bounds = bounds[:-1] if bounds.size and bounds[-1] == t_sorted.size else bounds
         # events per tie group
-        self.d_group = np.add.reduceat(self.event.astype(np.float64), self.starts)
+        self.d_group = self.group_sums(self.event.astype(np.float64))
         self.event_groups = np.flatnonzero(self.d_group > 0)
+        self.event_x_sum = self.X[self.event].sum(axis=0)
         self.n = X.shape[0]
         self.p = X.shape[1]
+
+    def group_sums(self, a: np.ndarray) -> np.ndarray:
+        """Per-tie-group sums of the rows of ``a``.
+
+        Bitwise equal to ``np.add.reduceat(a, self.starts, axis=0)``, which
+        pays a fixed cost per segment: here singleton groups are copied, and
+        only the tied groups are reduced, each over the same rows as there.
+        """
+        out = a[self.starts]
+        if self.tied.size:
+            out[self.tied] = np.add.reduceat(a, self.tied_bounds, axis=0)[::2]
+        return out
 
     def loglik(self, beta: np.ndarray) -> float:
         eta = self.X @ beta
         shift = eta.max() if eta.size else 0.0
         w = np.exp(eta - shift)
-        s0 = np.cumsum(np.add.reduceat(w, self.starts))  # prefix-inclusive per group
+        s0 = np.cumsum(self.group_sums(w))  # prefix-inclusive per group
         ll = float(eta[self.event] .sum())
         ll -= float(self.d_group[self.event_groups] @ (np.log(s0[self.event_groups]) + shift))
         return ll
@@ -104,8 +125,9 @@ class _RiskSetEngine:
         shift = eta.max()
         w = np.exp(eta - shift)
         wX = X * w[:, None]
-        s0 = np.cumsum(np.add.reduceat(w, starts))
-        s1 = np.cumsum(np.add.reduceat(wX, starts, axis=0), axis=0)
+        s0 = np.cumsum(self.group_sums(w))
+        s1 = self.group_sums(wX)
+        np.add.accumulate(s1, axis=0, out=s1)
 
         eg = self.event_groups
         d = self.d_group[eg]
@@ -113,7 +135,7 @@ class _RiskSetEngine:
         u = s1[eg] / s0_e[:, None]  # risk-set mean covariate per event group
 
         ll = float(eta[self.event].sum() - d @ (np.log(s0_e) + shift))
-        score = self.X[self.event].sum(axis=0) - d @ u
+        score = self.event_x_sum - d @ u
 
         # sum over event groups of d * S2/S0 equals X' diag(w * c) X where
         # c_i aggregates d/S0 over all event groups whose risk set holds row i
@@ -121,7 +143,8 @@ class _RiskSetEngine:
         ratio[eg] = d / s0_e
         c_group = np.cumsum(ratio[::-1])[::-1]
         c_row = np.repeat(c_group, self.ends - starts)
-        info = (X * (w * c_row)[:, None]).T @ X - (u * d[:, None]).T @ u
+        np.multiply(X, (w * c_row)[:, None], out=wX)
+        info = wX.T @ X - (u * d[:, None]).T @ u
         return ll, score, info
 
 
@@ -147,7 +170,7 @@ def fit_cox(
     X = design.selected_matrix()
     engine = _RiskSetEngine(X, surv.time, surv.event)
 
-    beta, ll, iterations, converged, info, trace = newton_maximize(
+    beta, ll, iterations, converged, info, trace, halvings, jittered = newton_maximize(
         engine.loglik_score_info,
         np.zeros(X.shape[1]),
         max_iter=max_iter,
@@ -168,6 +191,8 @@ def fit_cox(
         converged=converged,
         n=surv.n,
         loglik_trace=trace,
+        step_halvings=halvings,
+        jitter_retry=jittered,
     )
 
 

@@ -17,6 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
+# largest n with n*n - 1 <= 2**63 - 1, so every edge code src*n + dst fits int64
+MAX_NODES = 3_037_000_499
+
 
 @dataclass(frozen=True)
 class DirectedGraph:
@@ -31,6 +34,8 @@ class DirectedGraph:
     def __post_init__(self):
         if self.n_nodes < 1:
             raise ValueError("n_nodes must be positive")
+        if self.n_nodes > MAX_NODES:
+            raise ValueError(f"n_nodes {self.n_nodes} exceeds the limit of {MAX_NODES} nodes")
         edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
         object.__setattr__(self, "edges", edges)
         if edges.size:

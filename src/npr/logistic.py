@@ -38,6 +38,8 @@ class LogisticFit:
     std_errors: np.ndarray
     n: int
     loglik_trace: list[float]  # objective after each accepted Newton step
+    step_halvings: int = 0  # rejected Newton candidates over the fit
+    jitter_retry: bool = False  # some step needed the ridge retry
 
 
 def _log_likelihood(eta: np.ndarray, y: np.ndarray) -> float:
@@ -94,7 +96,7 @@ def fit_logistic(
     def loglik_only(theta):
         return _log_likelihood(X @ theta, y)
 
-    theta, ll, iterations, converged, hess, trace = newton_maximize(
+    theta, ll, iterations, converged, hess, trace, halvings, jittered = newton_maximize(
         objective,
         np.zeros(p),
         max_iter=max_iter,
@@ -116,6 +118,8 @@ def fit_logistic(
         std_errors=np.sqrt(np.diag(info_inv)),
         n=n,
         loglik_trace=trace,
+        step_halvings=halvings,
+        jitter_retry=jittered,
     )
 
 

@@ -43,6 +43,22 @@ class TestFitCommand:
         golden = json.loads((TOY / "golden_fit.json").read_text())
         assert got == golden
 
+    def test_reproduces_golden_cox_fit(self, tmp_path):
+        # tied times, one censored row tied with events: Breslow sums are pinned
+        out = tmp_path / "cox.json"
+        assert run(
+            "fit", "--family", "cox",
+            "--edges", str(TOY / "edges.csv"),
+            "--covariates", str(TOY / "covariates.csv"),
+            "--time", str(TOY / "time.csv"),
+            "--event", str(TOY / "event.csv"),
+            "--K", "2", "--out", str(out),
+        ) == 0
+        got = json.loads(out.read_text())
+        del got["manifest"]
+        golden = json.loads((TOY / "golden_cox_fit.json").read_text())
+        assert got == golden
+
     def test_report_validates_against_schema(self, toy_fit):
         validate_report(json.loads(toy_fit.read_text()))
 

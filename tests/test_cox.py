@@ -117,6 +117,32 @@ class TestPartialLikelihood:
                     assert abs(fd2 + info[i, j]) < 1e-5 * max(1.0, abs(info[i, j]))
 
 
+class TestGroupSums:
+    @pytest.mark.parametrize(
+        "sizes",
+        [
+            [1] * 12,  # no ties
+            [1],
+            [10],  # every row in one group
+            [300],
+            [3, 1, 1, 4],  # tied group first and last: the bound n is dropped
+            [1, 2, 3, 1],  # adjacent tied groups, singleton last
+            [2, 2, 2],
+            [12, 1, 200, 9, 1, 1, 130],  # groups beyond 8 rows sum pairwise
+        ],
+    )
+    def test_bitwise_equal_to_reduceat(self, sizes):
+        rng = np.random.default_rng(len(sizes) * 1000 + sum(sizes))
+        n = sum(sizes)
+        # times descend, so the tie groups appear in the sorted order given
+        time = np.repeat(np.arange(len(sizes), 0, -1, dtype=float), sizes)
+        engine = _RiskSetEngine(np.zeros((n, 1)), time, np.ones(n, dtype=int))
+        assert np.array_equal(np.diff(np.append(engine.starts, n)), sizes)
+        for shape in [(n,), (n, 5)]:
+            a = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, size=shape)
+            assert np.array_equal(engine.group_sums(a), np.add.reduceat(a, engine.starts, axis=0))
+
+
 class TestFitCox:
     def test_five_point_golden_section_oracle(self):
         # single covariate, distinct times: maximize the scalar partial

@@ -38,6 +38,16 @@ class TestDirectedGraph:
         with pytest.raises(ValueError, match="out of range"):
             DirectedGraph(n_nodes=3, edges=[(0, 3)])
 
+    def test_node_count_limit(self):
+        # beyond the limit the int64 codes src*n_nodes+dst would wrap and two
+        # distinct edges could share one
+        with pytest.raises(ValueError, match="limit of 3037000499"):
+            DirectedGraph(n_nodes=2**33, edges=[(0, 1), (2**31, 1)])
+        n = 3_037_000_499
+        assert DirectedGraph(n_nodes=n, edges=[(n - 1, n - 2), (n - 2, n - 1)]).n_edges == 2
+        with pytest.raises(ValueError, match="duplicate"):
+            DirectedGraph(n_nodes=n, edges=[(n - 1, n - 2), (n - 1, n - 2)])
+
     def test_summary(self):
         g = DirectedGraph(n_nodes=4, edges=[(0, 1), (1, 2), (2, 3)])
         s = g.summary()
@@ -248,6 +258,13 @@ class TestEdgeListIO:
         path = tmp_path / "edges.csv"
         path.write_text("src,dst\n0,1\nx,2\n")
         with pytest.raises(ValueError, match=":3"):
+            read_edge_list(path)
+
+    def test_largest_int64_node_id_exceeds_the_node_limit(self, tmp_path):
+        # the inferred n_nodes is 2**63, which no int64 edge code can hold
+        path = tmp_path / "edges.csv"
+        path.write_text("src,dst\n0,9223372036854775807\n")
+        with pytest.raises(ValueError, match="limit of 3037000499"):
             read_edge_list(path)
 
 

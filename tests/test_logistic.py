@@ -104,6 +104,52 @@ class TestFitLogistic:
             assert np.abs(fit.information - fit.information.T).max() < 1e-12
             assert np.linalg.eigvalsh(fit.information).min() > -1e-10
 
+    def test_step_halvings_count_rejected_candidates(self, monkeypatch):
+        import npr.logistic
+
+        newton = npr.logistic.newton_maximize
+        seen = {"value": None, "rejected": 0}
+
+        def watched(objective, theta0, max_iter, tol, loglik, guard=None):
+            def objective_seen(theta):
+                result = objective(theta)
+                seen["value"] = result[0]
+                return result
+
+            def loglik_seen(theta):
+                value = loglik(theta)
+                if not (np.isfinite(value) and value >= seen["value"]):
+                    seen["rejected"] += 1
+                return value
+
+            return newton(objective_seen, theta0, max_iter=max_iter, tol=tol,
+                          loglik=loglik_seen, guard=guard)
+
+        monkeypatch.setattr(npr.logistic, "newton_maximize", watched)
+        rng = np.random.default_rng(3)
+        n = 80
+        X = rng.standard_normal((n, 2))
+        y = (rng.random(n) < expit(-1.0 + X @ np.array([2.5, -2.0]))).astype(float)
+        fit = fit_logistic(selected_design(empty_operator(n), X, 0), y)
+        assert fit.converged
+        assert fit.jitter_retry is False
+        assert fit.step_halvings == seen["rejected"]
+
+    def test_singular_information_fires_the_jitter_retry(self):
+        from npr._newton import newton_maximize
+
+        # f(t) = s - s^2/2 with s = t0 + t1 has a singular information matrix
+        def objective(t):
+            s = t.sum()
+            return s - s * s / 2, np.full(2, 1.0 - s), np.ones((2, 2))
+
+        _, value, *_, halvings, jittered = newton_maximize(
+            objective, np.zeros(2), max_iter=10, tol=1e-8, loglik=lambda t: objective(t)[0]
+        )
+        assert jittered is True
+        assert halvings == 0
+        assert value == pytest.approx(0.5)
+
     def test_score_and_hessian_match_finite_differences(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
