@@ -4,14 +4,18 @@ Used by the logistic and Cox fitters, which share the same convergence
 contract: start at zero, never accept a step that decreases the objective,
 declare convergence when the accepted step's max-norm drops below the
 tolerance, and treat a singular information matrix as an error after one
-retry with a tiny ridge.
+retry with a tiny ridge.  Their fit records share :class:`NewtonFit`, the
+solver's diagnostics and the standard errors from the information.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 from scipy import linalg as sla
 
+from .design import FitRecord
 from .exceptions import SingularMatrixError
 
 JITTER = 1e-10
@@ -82,3 +86,31 @@ def newton_maximize(objective, theta0, max_iter, tol, loglik, guard=None):
             converged = True
             break
     return theta, value, iterations, converged, hess, trace, step_halvings, jitter_retry
+
+
+@dataclass(eq=False, kw_only=True)
+class NewtonFit(FitRecord):
+    """The solver's side of a Newton-fitted family (logistic, cox)."""
+
+    iterations: int
+    converged: bool
+    information: np.ndarray  # observed information / n at the optimum
+    std_errors: np.ndarray  # sqrt(diag) of the inverse observed information
+    loglik_trace: list[float]  # objective at the start and after each accepted step
+    step_halvings: int = 0  # rejected Newton candidates over the fit
+    jitter_retry: bool = False  # some step needed the ridge retry
+
+
+def newton_fields(result: tuple, n: int) -> tuple[np.ndarray, float, dict]:
+    """Split a :func:`newton_maximize` result into the estimate, the
+    objective at it and the :class:`NewtonFit` fields."""
+    theta, value, iterations, converged, hess, trace, halvings, jittered = result
+    return theta, value, {
+        "iterations": iterations,
+        "converged": converged,
+        "information": hess / n,
+        "std_errors": np.sqrt(np.diag(np.linalg.inv(hess))),
+        "loglik_trace": trace,
+        "step_halvings": halvings,
+        "jitter_retry": jittered,
+    }

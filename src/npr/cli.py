@@ -29,6 +29,7 @@ from .cox import CoxFit, SurvivalData, fit_cox, predict_relative_risk
 from .design import build_design, center, forward_select, read_covariates
 from .exceptions import ModelError
 from .gaussian import (
+    Z_95,
     GaussianFit,
     fit_ols,
     order_test,
@@ -38,7 +39,7 @@ from .gaussian import (
 from .graph import _read_csv, read_edge_list
 from .logistic import LogisticFit, auc, fit_logistic, predict_proba
 from .schemas import validate_report
-from .sim import ScenarioConfig, run_prediction_study, run_test_study
+from .sim import ScenarioConfig, row_splits, run_prediction_study, run_test_study
 
 DEFAULT_TOL = 1e-8
 
@@ -102,13 +103,13 @@ def _load_design(args, X: np.ndarray, K: int):
     return build_design(row_normalize(graph), X, K)
 
 
-def _coefficient_records(names, provenance, selected, estimates, std_errors):
+def _coefficient_records(fit, estimates, std_errors):
     recs = []
-    for i, col in enumerate(selected):
-        k, j = provenance[col]
+    for i, col in enumerate(fit.selected):
+        k, j = fit.provenance[col]
         recs.append(
             {
-                "name": names[i],
+                "name": fit.column_names[i],
                 "order": int(k),
                 "covariate": int(j),
                 "estimate": float(estimates[i]),
@@ -145,11 +146,7 @@ def cmd_fit(args) -> None:
         y = _read_single_column(args.response, "y")
         design = center(design)  # rebinding frees the raw design before selection and the fit
         fit = fit_ols(forward_select(design, tol=args.tol), y)
-        stats = t_statistics(fit)
-        report["selected_columns"] = [int(c) for c in fit.selected]
-        report["coefficients"] = _coefficient_records(
-            fit.column_names, fit.provenance, fit.selected, fit.theta_hat, fit.std_errors
-        )
+        estimates, std_errors = fit.theta_hat, fit.std_errors
         report["gaussian"] = {
             "rss": fit.rss,
             "sigma2_hat": fit.sigma2_hat,
@@ -161,22 +158,16 @@ def cmd_fit(args) -> None:
         }
         report["t_statistics"] = [
             {k: (v if not isinstance(v, float) or math.isfinite(v) else None) for k, v in rec.items()}
-            for rec in stats
+            for rec in t_statistics(fit)
         ]
     elif args.family == "logistic":
         y = _read_single_column(args.response, "y")
-        selected = forward_select(design, tol=args.tol)
-        fit = fit_logistic(selected, y, tol=args.tol)
-        report["selected_columns"] = [int(c) for c in fit.selected]
-        report["coefficients"] = _coefficient_records(
-            fit.column_names, fit.provenance, fit.selected, fit.theta_hat[1:], fit.std_errors[1:]
-        )
+        fit = fit_logistic(forward_select(design, tol=args.tol), y, tol=args.tol)
+        estimates, std_errors = fit.theta_hat[1:], fit.std_errors[1:]
         report["logistic"] = {
             "intercept": float(fit.theta_hat[0]),
             "intercept_std_error": float(fit.std_errors[0]),
             "log_likelihood": fit.log_likelihood,
-            "iterations": fit.iterations,
-            "converged": fit.converged,
         }
     else:
         t = _read_single_column(args.time, "time")
@@ -184,19 +175,14 @@ def cmd_fit(args) -> None:
         surv = SurvivalData(time=t, event=d)
         if surv.n != design.n_rows:
             raise ValueError("survival data length must match the covariate rows")
-        selected = forward_select(design, tol=args.tol)
-        fit = fit_cox(selected, surv, tol=args.tol)
-        report["selected_columns"] = [int(c) for c in fit.selected]
-        report["coefficients"] = _coefficient_records(
-            fit.column_names, fit.provenance, fit.selected, fit.lambda_hat, fit.std_errors
-        )
-        report["cox"] = {
-            "partial_loglik": fit.partial_loglik,
-            "iterations": fit.iterations,
-            "converged": fit.converged,
-            "n_events": surv.n_events,
-        }
+        fit = fit_cox(forward_select(design, tol=args.tol), surv, tol=args.tol)
+        estimates, std_errors = fit.lambda_hat, fit.std_errors
+        report["cox"] = {"partial_loglik": fit.partial_loglik, "n_events": surv.n_events}
+    if args.family != "gaussian":
+        report[args.family].update(iterations=fit.iterations, converged=fit.converged)
 
+    report["selected_columns"] = [int(c) for c in fit.selected]
+    report["coefficients"] = _coefficient_records(fit, estimates, std_errors)
     report["manifest"] = run.manifest()
     _write_report(report, args.out)
 
@@ -213,9 +199,9 @@ def _rebuild_fit(payload: dict):
     """The family's fit object from a fit report, as far as prediction and
     the order tests need it (the Newton information and trace are not
     reported)."""
-    K, d = payload["K"], payload["d"]
+    K, d, family = payload["K"], payload["d"], payload["family"]
     coefs = payload["coefficients"]
-    common = {
+    columns = {
         "selected": [int(c) for c in payload["selected_columns"]],
         "provenance": [(k, j) for k in range(K + 1) for j in range(d)],
         "column_names": [c["name"] for c in coefs],
@@ -223,42 +209,35 @@ def _rebuild_fit(payload: dict):
     }
     estimates = np.asarray([c["estimate"] for c in coefs])
     ses = np.asarray([c["std_error"] for c in coefs])
-    if payload["family"] == "gaussian":
-        g = payload["gaussian"]
+    block = payload[family]
+    if family == "gaussian":
         return GaussianFit(
             theta_hat=estimates,
-            rss=g["rss"],
-            sigma2_hat=g["sigma2_hat"],
-            gram=np.asarray(g["gram"]),
-            gram_inverse=np.asarray(g["gram_inverse"]),
+            rss=block["rss"],
+            sigma2_hat=block["sigma2_hat"],
+            gram=np.asarray(block["gram"]),
+            gram_inverse=np.asarray(block["gram_inverse"]),
             std_errors=ses,
-            d_sel=len(coefs),
-            column_means=np.asarray(g["column_means"]),
-            y_mean=g["y_mean"],
-            **common,
+            column_means=np.asarray(block["column_means"]),
+            y_mean=block["y_mean"],
+            **columns,
         )
-    if payload["family"] == "logistic":
-        lg = payload["logistic"]
+    newton = {
+        "iterations": block["iterations"],
+        "converged": block["converged"],
+        "information": None,
+        "loglik_trace": [],
+    }
+    if family == "logistic":
         return LogisticFit(
-            theta_hat=np.concatenate([[lg["intercept"]], estimates]),
-            log_likelihood=lg["log_likelihood"],
-            iterations=lg["iterations"],
-            converged=lg["converged"],
-            information=None,
-            std_errors=np.concatenate([[lg["intercept_std_error"]], ses]),
-            loglik_trace=[],
-            **common,
+            theta_hat=np.concatenate([[block["intercept"]], estimates]),
+            log_likelihood=block["log_likelihood"],
+            std_errors=np.concatenate([[block["intercept_std_error"]], ses]),
+            **newton,
+            **columns,
         )
-    cx = payload["cox"]
     return CoxFit(
-        lambda_hat=estimates,
-        partial_loglik=cx["partial_loglik"],
-        information=None,
-        std_errors=ses,
-        iterations=cx["iterations"],
-        converged=cx["converged"],
-        loglik_trace=[],
-        **common,
+        lambda_hat=estimates, partial_loglik=block["partial_loglik"], std_errors=ses, **newton, **columns
     )
 
 
@@ -284,7 +263,6 @@ def cmd_test(args) -> None:
 
 
 def cmd_predict(args) -> None:
-    _Run("predict", args, ["fit", "edges", "covariates"])
     payload = _fit_from_json(args.fit)
     X = read_covariates(args.covariates, allow_empty=True)
     if X.shape[1] != payload["d"]:
@@ -359,6 +337,8 @@ def cmd_simulate_test(args) -> None:
 
 def cmd_eval_auc(args) -> None:
     run = _Run("eval-auc", args, ["fit", "edges", "covariates", "response"])
+    if args.splits < 1:
+        raise ValueError("--splits must be at least 1")
     run.seed = _resolve_seed(args)
     payload = _fit_from_json(args.fit)
     if payload["family"] != "logistic":
@@ -370,21 +350,15 @@ def cmd_eval_auc(args) -> None:
     design = _load_design(args, X, payload["K"])
     tol = payload["tol"]
     rng = np.random.default_rng(args.seed)
-    n = design.n_rows
-    n_train = int(round(args.train_frac * n))
-    if n_train < 1 or n_train >= n:
-        raise ValueError("degenerate split sizes")
     scores = []
-    for _ in range(args.splits):
-        perm = rng.permutation(n)
-        train, test = np.sort(perm[:n_train]), np.sort(perm[n_train:])
+    for train, test in row_splits(design.n_rows, args.train_frac, rng, args.splits):
         sub = forward_select(design.subset_rows(train), tol=tol)
         fit = fit_logistic(sub, y[train], tol=tol)
         proba = predict_proba(fit, design.subset_rows(test))
         scores.append(auc(proba, y[test]))
     scores = np.asarray(scores)
     sd = float(scores.std(ddof=1)) if scores.size > 1 else 0.0
-    half = 1.959964 * sd / math.sqrt(scores.size)
+    half = Z_95 * sd / math.sqrt(scores.size)
     report = {
         "schema_version": 1,
         "kind": "auc-eval",

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import PropagatedDesign
+from .design import PropagatedDesign, fit_inputs
 from .graph import _as_rng
-from ._newton import newton_maximize
+from ._newton import NewtonFit, newton_fields, newton_maximize
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 100
@@ -54,23 +54,12 @@ class SurvivalData:
         return int(self.event.sum())
 
 
-@dataclass(eq=False)
-class CoxFit:
+@dataclass(eq=False, kw_only=True)
+class CoxFit(NewtonFit):
     """Maximum partial likelihood estimate over selected columns."""
 
     lambda_hat: np.ndarray
-    selected: list[int]
-    provenance: list[tuple[int, int]]
-    column_names: list[str]
     partial_loglik: float
-    information: np.ndarray  # observed information / N at the optimum
-    std_errors: np.ndarray
-    iterations: int
-    converged: bool
-    n: int
-    loglik_trace: list[float]
-    step_halvings: int = 0  # rejected Newton candidates over the fit
-    jitter_retry: bool = False  # some step needed the ridge retry
 
 
 class _RiskSetEngine:
@@ -160,49 +149,26 @@ def fit_cox(
     (any multiplicative constant is absorbed by the baseline hazard).
     Convergence and step-halving behave exactly as in the logistic fitter.
     """
-    if design.selected is None:
-        raise ValueError("design must be forward-selected before fitting")
-    if design.centered:
-        raise ValueError("cox fits use the uncentered design")
+    X, columns = fit_inputs(design, "cox", centered=False)
     if surv.n != design.n_rows:
         raise ValueError(f"survival data has {surv.n} rows, design has {design.n_rows}")
 
-    X = design.selected_matrix()
     engine = _RiskSetEngine(X, surv.time, surv.event)
 
-    beta, ll, iterations, converged, info, trace, halvings, jittered = newton_maximize(
+    result = newton_maximize(
         engine.loglik_score_info,
         np.zeros(X.shape[1]),
         max_iter=max_iter,
         tol=tol,
         loglik=engine.loglik,
     )
-
-    info_inv = np.linalg.inv(info)
-    return CoxFit(
-        lambda_hat=beta,
-        selected=list(design.selected),
-        provenance=list(design.provenance),
-        column_names=[design.column_names()[c] for c in design.selected],
-        partial_loglik=ll,
-        information=info / surv.n,
-        std_errors=np.sqrt(np.diag(info_inv)),
-        iterations=iterations,
-        converged=converged,
-        n=surv.n,
-        loglik_trace=trace,
-        step_halvings=halvings,
-        jitter_retry=jittered,
-    )
+    beta, ll, newton = newton_fields(result, surv.n)
+    return CoxFit(lambda_hat=beta, partial_loglik=ll, **newton, **columns)
 
 
 def predict_relative_risk(fit: CoxFit, design_new: PropagatedDesign) -> np.ndarray:
     """Hazard ratios ``exp(x'lambda_hat)`` for new rows."""
-    if list(design_new.provenance) != list(fit.provenance):
-        raise ValueError("provenance mismatch between fit and new design")
-    if design_new.centered:
-        raise ValueError("cox predictions use the raw design")
-    return np.exp(design_new.full_matrix()[:, fit.selected] @ fit.lambda_hat)
+    return np.exp(fit.gather(design_new) @ fit.lambda_hat)
 
 
 def simulate_cox_data(

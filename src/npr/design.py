@@ -147,6 +147,50 @@ def independent_columns(M: np.ndarray, tol: float) -> list[int]:
     return kept
 
 
+def fit_inputs(design: PropagatedDesign, family: str, centered: bool) -> tuple[np.ndarray, dict]:
+    """The selected columns a family fits, and the :class:`FitRecord` fields
+    that describe them.
+
+    The design must be forward-selected and centered exactly when the
+    family needs it (the gaussian family does; logistic and cox do not).
+    """
+    if design.selected is None:
+        raise ValueError("design must be forward-selected before fitting")
+    if design.centered != centered:
+        need = "a centered" if centered else "the uncentered"
+        raise ValueError(f"{family} fits use {need} design")
+    names = design.column_names()
+    return design.selected_matrix(), {
+        "selected": list(design.selected),
+        "provenance": list(design.provenance),
+        "column_names": [names[c] for c in design.selected],
+        "n": design.n_rows,
+    }
+
+
+@dataclass(eq=False, kw_only=True)
+class FitRecord:
+    """What every fit carries: the design columns it was fit on.
+
+    ``selected`` indexes the design's columns, ``provenance`` is the full
+    design layout (so a prediction design can be checked against it) and
+    ``column_names`` names the selected columns in order.
+    """
+
+    selected: list[int]
+    provenance: list[tuple[int, int]]
+    column_names: list[str]
+    n: int
+
+    def gather(self, design_new: PropagatedDesign) -> np.ndarray:
+        """The fit's selected columns of a raw design with the fit's layout."""
+        if list(design_new.provenance) != list(self.provenance):
+            raise ValueError("provenance mismatch between fit and new design")
+        if design_new.centered:
+            raise ValueError("predictions use the raw (uncentered) design")
+        return design_new.full_matrix()[:, self.selected]
+
+
 def forward_select(design: PropagatedDesign, tol: float = DEFAULT_SELECT_TOL) -> PropagatedDesign:
     """Greedy screening of linearly independent columns.
 

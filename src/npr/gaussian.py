@@ -18,7 +18,7 @@ import numpy as np
 from scipy import linalg as sla
 from scipy import stats
 
-from .design import PropagatedDesign
+from .design import FitRecord, PropagatedDesign, fit_inputs
 from .exceptions import SingularMatrixError
 
 Z_95 = 1.959964  # two-sided 95% normal quantile used for intervals
@@ -30,23 +30,22 @@ Z_95 = 1.959964  # two-sided 95% normal quantile used for intervals
 NORMAL_APPROX_MIN_DIM = 128
 
 
-@dataclass(eq=False)
-class GaussianFit:
+@dataclass(eq=False, kw_only=True)
+class GaussianFit(FitRecord):
     """OLS fit over the selected columns of a propagated design."""
 
     theta_hat: np.ndarray
-    selected: list[int]
-    provenance: list[tuple[int, int]]
-    column_names: list[str]
     rss: float
     sigma2_hat: float
     gram: np.ndarray
     gram_inverse: np.ndarray
     std_errors: np.ndarray
-    n: int
-    d_sel: int
     column_means: np.ndarray | None
     y_mean: float
+
+    @property
+    def d_sel(self) -> int:
+        return len(self.selected)
 
     @property
     def sigma_hat(self) -> float:
@@ -64,11 +63,7 @@ def fit_ols(design: PropagatedDesign, y: np.ndarray) -> GaussianFit:
     no-op for pre-centered input), and the centering constants are kept on
     the fit so new rows can be predicted consistently.
     """
-    if design.selected is None:
-        raise ValueError("design must be forward-selected before fitting")
-    if not design.centered:
-        raise ValueError("gaussian fits require a centered design")
-    X = design.selected_matrix()
+    X, columns = fit_inputs(design, "gaussian", centered=True)
     n, p = X.shape
     y = np.asarray(y, dtype=np.float64).ravel()
     if y.shape[0] != n:
@@ -109,18 +104,14 @@ def fit_ols(design: PropagatedDesign, y: np.ndarray) -> GaussianFit:
 
     return GaussianFit(
         theta_hat=theta,
-        selected=list(design.selected),
-        provenance=list(design.provenance),
-        column_names=[design.column_names()[c] for c in design.selected],
         rss=rss,
         sigma2_hat=sigma2,
         gram=gram,
         gram_inverse=gram_inverse,
         std_errors=std_errors,
-        n=n,
-        d_sel=p,
         column_means=means,
         y_mean=y_mean,
+        **columns,
     )
 
 
@@ -131,11 +122,7 @@ def predict(fit: GaussianFit, design_new: PropagatedDesign) -> np.ndarray:
     and K) and is used raw; the fit's stored centering constants are
     applied here.
     """
-    if list(design_new.provenance) != list(fit.provenance):
-        raise ValueError("provenance mismatch between fit and new design")
-    if design_new.centered:
-        raise ValueError("pass the raw design; the fit applies its own centering")
-    M = design_new.full_matrix()[:, fit.selected]
+    M = fit.gather(design_new)
     if fit.column_means is not None:
         M = M - fit.column_means
     return fit.y_mean + M @ fit.theta_hat

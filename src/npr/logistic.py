@@ -14,32 +14,22 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .design import PropagatedDesign
+from .design import PropagatedDesign, fit_inputs
 from .exceptions import SeparationError
-from ._newton import newton_maximize
+from ._newton import NewtonFit, newton_fields, newton_maximize
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 100
 SEPARATION_BOUND = 30.0  # logit scale beyond double-precision probability resolution
 
 
-@dataclass(eq=False)
-class LogisticFit:
-    """Converged conditional MLE; ``theta_hat[0]`` is the intercept."""
+@dataclass(eq=False, kw_only=True)
+class LogisticFit(NewtonFit):
+    """Converged conditional MLE; ``theta_hat[0]`` is the intercept, and the
+    information and standard errors include it."""
 
     theta_hat: np.ndarray
-    selected: list[int]
-    provenance: list[tuple[int, int]]
-    column_names: list[str]
     log_likelihood: float
-    iterations: int
-    converged: bool
-    information: np.ndarray  # (1/N) sum_i w_i x_i x_i', intercept included
-    std_errors: np.ndarray
-    n: int
-    loglik_trace: list[float]  # objective after each accepted Newton step
-    step_halvings: int = 0  # rejected Newton candidates over the fit
-    jitter_retry: bool = False  # some step needed the ridge retry
 
 
 def _log_likelihood(eta: np.ndarray, y: np.ndarray) -> float:
@@ -65,18 +55,14 @@ def fit_logistic(
     while the iteration is still moving, the signature of a likelihood
     maximized only at infinity.
     """
-    if design.selected is None:
-        raise ValueError("design must be forward-selected before fitting")
-    if design.centered:
-        raise ValueError("logistic fits use the uncentered design with an explicit intercept")
+    X, columns = fit_inputs(design, "logistic", centered=False)
     y = np.asarray(y, dtype=np.float64).ravel()
     if y.shape[0] != design.n_rows:
         raise ValueError(f"response has {y.shape[0]} rows, design has {design.n_rows}")
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("logistic responses must be 0/1")
 
-    X = np.column_stack([np.ones(design.n_rows), design.selected_matrix()])
-    n, p = X.shape
+    X = np.column_stack([np.ones(design.n_rows), X])
 
     def objective(theta):
         eta = X @ theta
@@ -96,41 +82,21 @@ def fit_logistic(
     def loglik_only(theta):
         return _log_likelihood(X @ theta, y)
 
-    theta, ll, iterations, converged, hess, trace, halvings, jittered = newton_maximize(
+    result = newton_maximize(
         objective,
-        np.zeros(p),
+        np.zeros(X.shape[1]),
         max_iter=max_iter,
         tol=tol,
         loglik=loglik_only,
         guard=guard,
     )
-
-    info_inv = np.linalg.inv(hess)
-    return LogisticFit(
-        theta_hat=theta,
-        selected=list(design.selected),
-        provenance=list(design.provenance),
-        column_names=[design.column_names()[c] for c in design.selected],
-        log_likelihood=ll,
-        iterations=iterations,
-        converged=converged,
-        information=hess / n,
-        std_errors=np.sqrt(np.diag(info_inv)),
-        n=n,
-        loglik_trace=trace,
-        step_halvings=halvings,
-        jitter_retry=jittered,
-    )
+    theta, ll, newton = newton_fields(result, design.n_rows)
+    return LogisticFit(theta_hat=theta, log_likelihood=ll, **newton, **columns)
 
 
 def predict_proba(fit: LogisticFit, design_new: PropagatedDesign) -> np.ndarray:
     """Fitted success probabilities for new rows."""
-    if list(design_new.provenance) != list(fit.provenance):
-        raise ValueError("provenance mismatch between fit and new design")
-    if design_new.centered:
-        raise ValueError("logistic predictions use the raw design")
-    eta = fit.theta_hat[0] + design_new.full_matrix()[:, fit.selected] @ fit.theta_hat[1:]
-    return expit(eta)
+    return expit(fit.theta_hat[0] + fit.gather(design_new) @ fit.theta_hat[1:])
 
 
 def auc(scores, labels) -> float:

@@ -15,21 +15,30 @@ _KINDS = {"fit": "fit", "test": "test", "simulation": "simulation", "auc-eval": 
 
 
 @lru_cache(maxsize=None)
-def _registry():
-    reg = Registry()
-    for name in _KINDS.values():
-        path = resources.files("npr.schemas").joinpath(f"{name}.schema.json")
-        schema = json.loads(path.read_text())
-        reg = reg.with_resource(f"npr/{name}.schema.json", Resource.from_contents(schema))
-    return reg
+def _schemas() -> dict[str, dict]:
+    """Every shipped schema, read and parsed once, by file stem."""
+    files = resources.files("npr.schemas")
+    return {
+        name: json.loads(files.joinpath(f"{name}.schema.json").read_text()) for name in _KINDS.values()
+    }
 
 
-@lru_cache(maxsize=None)
 def load_schema(kind: str) -> dict:
     if kind not in _KINDS:
         raise ValueError(f"unknown report kind {kind!r}")
-    path = resources.files("npr.schemas").joinpath(f"{_KINDS[kind]}.schema.json")
-    return json.loads(path.read_text())
+    return _schemas()[_KINDS[kind]]
+
+
+@lru_cache(maxsize=None)
+def _registry() -> Registry:
+    return Registry().with_resources(
+        (f"npr/{name}.schema.json", Resource.from_contents(schema)) for name, schema in _schemas().items()
+    )
+
+
+@lru_cache(maxsize=None)
+def _validator(kind: str) -> Draft202012Validator:
+    return Draft202012Validator(load_schema(kind), registry=_registry())
 
 
 def validate_report(report: dict) -> None:
@@ -37,10 +46,7 @@ def validate_report(report: dict) -> None:
 
     Raises ``jsonschema.ValidationError`` on mismatch.
     """
-    kind = report.get("kind")
-    schema = load_schema(kind)
-    validator = Draft202012Validator(schema, registry=_registry())
-    validator.validate(report)
+    _validator(report.get("kind")).validate(report)
 
 
 __all__ = ["SCHEMA_VERSION", "load_schema", "validate_report", "jsonschema"]

@@ -187,6 +187,20 @@ def generate_response(setting: int, W, X, params, rng: np.random.Generator, labe
     return y, {"mu": mu}
 
 
+def row_splits(n: int, frac: float, rng: np.random.Generator, count: int):
+    """``count`` random (train, test) splits of the rows ``0..n-1``.
+
+    Each split holds ``round(frac * n)`` training rows, takes one
+    ``rng.permutation(n)`` when it is drawn, and returns both row sets
+    sorted.  Degenerate sizes raise before any draw.
+    """
+    n_train = int(round(frac * n))
+    if n_train < 1 or n_train >= n:
+        raise ValueError("degenerate split sizes")
+    perms = (rng.permutation(n) for _ in range(count))
+    return ((np.sort(perm[:n_train]), np.sort(perm[n_train:])) for perm in perms)
+
+
 def split_scenarios(graph: DirectedGraph, frac: float, mode: str, seed, case: int | None = None):
     """Random row split, optionally with an isolated replacement network.
 
@@ -202,12 +216,7 @@ def split_scenarios(graph: DirectedGraph, frac: float, mode: str, seed, case: in
         raise ValueError("degenerate split: frac must lie strictly between 0 and 1")
     rng = _as_rng(seed)
     n = graph.n_nodes
-    n_train = int(round(frac * n))
-    if n_train < 1 or n_train >= n:
-        raise ValueError("degenerate split sizes")
-    perm = rng.permutation(n)
-    train = np.sort(perm[:n_train])
-    test = np.sort(perm[n_train:])
+    train, test = next(row_splits(n, frac, rng, 1))
     if mode == "linked":
         return train, test, None
     if case is None:

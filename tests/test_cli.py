@@ -59,19 +59,41 @@ class TestFitCommand:
         golden = json.loads((TOY / "golden_cox_fit.json").read_text())
         assert got == golden
 
+    def test_reproduces_golden_logistic_fit(self, tmp_path):
+        out = tmp_path / "logistic.json"
+        assert run(
+            "fit", "--family", "logistic",
+            "--edges", str(TOY / "edges.csv"),
+            "--covariates", str(TOY / "covariates.csv"),
+            "--response", str(TOY / "binary.csv"),
+            "--K", "2", "--out", str(out),
+        ) == 0
+        got = json.loads(out.read_text())
+        del got["manifest"]
+        golden = json.loads((TOY / "golden_logistic_fit.json").read_text())
+        assert got == golden
+
     def test_report_validates_against_schema(self, toy_fit):
         validate_report(json.loads(toy_fit.read_text()))
 
-    def test_missing_file_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "command, inputs",
+        [
+            ("fit", ["--family", "gaussian", "--response", str(TOY / "response.csv")]),
+            ("predict", ["--fit", str(TOY / "golden_fit.json")]),
+        ],
+        ids=["fit", "predict"],
+    )
+    def test_missing_file_exits_2(self, tmp_path, capsys, command, inputs):
         code = run(
-            "fit", "--family", "gaussian",
+            command, *inputs,
             "--edges", str(tmp_path / "nope.csv"),
             "--covariates", str(TOY / "covariates.csv"),
-            "--response", str(TOY / "response.csv"),
-            "--out", str(tmp_path / "o.json"),
+            "--out", str(tmp_path / "o.out"),
         )
         assert code == 2
-        assert "error" in capsys.readouterr().err
+        assert "nope.csv" in capsys.readouterr().err
+        assert not (tmp_path / "o.out").exists()
 
     def test_k_zero_matches_classical_regression(self, tmp_path):
         out = tmp_path / "fit0.json"
@@ -431,6 +453,16 @@ class TestEvalAuc:
         assert 0.5 < payload["mean_auc"] <= 1.0
         assert payload["ci95_low"] <= payload["mean_auc"] <= payload["ci95_high"]
         assert len(payload["per_split"]) == 12
+
+    def test_zero_splits_exits_2(self, tmp_path, capsys):
+        assert run(
+            "eval-auc", "--fit", str(TOY / "golden_logistic_fit.json"),
+            "--edges", str(TOY / "edges.csv"),
+            "--covariates", str(TOY / "covariates.csv"),
+            "--response", str(TOY / "binary.csv"),
+            "--splits", "0", "--seed", "1", "--out", str(tmp_path / "a.json"),
+        ) == 2
+        assert "--splits" in capsys.readouterr().err
 
     def test_requires_logistic_fit(self, toy_fit, tmp_path):
         assert run(

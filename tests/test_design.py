@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import linalg as sla
 
+from npr.cox import SurvivalData, fit_cox, predict_relative_risk
 from npr.design import (
     PropagatedDesign,
     build_design,
@@ -13,7 +14,9 @@ from npr.design import (
     write_design_csv,
 )
 from npr.exceptions import DegenerateDesignError
+from npr.gaussian import fit_ols, predict
 from npr.graph import DirectedGraph, gen_erdos_renyi, propagate, row_normalize
+from npr.logistic import fit_logistic, predict_proba
 
 
 def random_setup(rng, n=60, d=3, K=4):
@@ -193,3 +196,23 @@ class TestCovariateIO:
         path.write_text("x1,x2\n1,2,3\n")
         with pytest.raises(ValueError, match="expected 2 columns"):
             read_covariates(path)
+
+
+@pytest.mark.parametrize("family", ["gaussian", "logistic", "cox"])
+def test_predictors_reject_a_foreign_or_centered_design(family):
+    rng = np.random.default_rng(21)
+    W, X = random_setup(rng, n=40, d=2)
+    raw = build_design(W, X, 1)
+    if family == "gaussian":
+        fit, predictor = fit_ols(forward_select(center(raw)), rng.standard_normal(40)), predict
+    elif family == "logistic":
+        y = np.arange(40) % 2
+        fit, predictor = fit_logistic(forward_select(raw), y), predict_proba
+    else:
+        surv = SurvivalData(time=rng.exponential(size=40) + 0.01, event=np.ones(40))
+        fit, predictor = fit_cox(forward_select(raw), surv), predict_relative_risk
+    assert predictor(fit, raw).shape == (40,)
+    with pytest.raises(ValueError, match="provenance"):
+        predictor(fit, build_design(W, X, 2))
+    with pytest.raises(ValueError, match="raw"):
+        predictor(fit, center(raw))
