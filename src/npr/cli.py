@@ -42,6 +42,10 @@ from .schemas import validate_report
 from .sim import ScenarioConfig, row_splits, run_prediction_study, run_test_study
 
 DEFAULT_TOL = 1e-8
+DETERMINISTIC_SEED_HELP = (
+    "recorded in the report's manifest only; this command draws no random "
+    "numbers, so its output is the same for every seed"
+)
 
 
 def _sha256(path) -> str:
@@ -391,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--event")
     p_fit.add_argument("--K", type=int, default=8)
     p_fit.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p_fit.add_argument("--seed", type=int)
+    p_fit.add_argument("--seed", type=int, help=DETERMINISTIC_SEED_HELP)
     p_fit.add_argument("--out", required=True)
     p_fit.set_defaults(func=cmd_fit)
 
@@ -399,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--fit", required=True)
     p_test.add_argument("--kmax", type=int, required=True)
     p_test.add_argument("--alpha", type=float, default=0.05)
-    p_test.add_argument("--seed", type=int)
+    p_test.add_argument("--seed", type=int, help=DETERMINISTIC_SEED_HELP)
     p_test.add_argument("--out", required=True)
     p_test.set_defaults(func=cmd_test)
 

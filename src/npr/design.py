@@ -123,7 +123,57 @@ def independent_columns(M: np.ndarray, tol: float) -> list[int]:
     exceeds ``tol`` times the column's own norm.  Modified Gram-Schmidt
     with one re-orthogonalization pass keeps the admitted basis
     numerically sound.
+
+    Fast path: the scan is skipped, and ``range(p)`` returned, when the
+    Gram matrix certifies that it would admit every column.  With
+    ``G = M'M`` and ``C = D^-1/2 G D^-1/2`` its unit-diagonal scaling,
+    column j's exact residual ratio against all the other columns is
+    ``1 / sqrt((C^-1)_jj) >= sqrt(lambda_min(C))``, and its ratio against
+    any subset of them -- the columns admitted before it included -- is no
+    smaller.  The certificate holds when ``n > p``, ``G`` is finite, every
+    ``G_jj >= n * tiny`` (no underflow in the Gram sums; a zero column
+    fails here) and
+
+        lambda_hat - delta >= max(1e-6, (1e3 * tol)^2),
+
+    where ``lambda_hat`` is the computed smallest eigenvalue of ``C`` and
+    ``delta = 2 p (n + p) 2^-53`` bounds its rounding error: ``p n u`` for
+    forming ``G`` (entrywise ``gamma_n ||m_i|| ||m_j||``, Higham ch. 3,
+    over a p x p matrix) and ``2 p^2 u`` for the scaling and the
+    backward-stable eigensolve on ``||C|| <= p`` (Higham ch. 19), with a
+    factor 2 of slack on the Gram term.  Every exact ratio is then at
+    least ``1e3 * tol`` and at least ``1e-3``, far above the scan's own
+    rounding, so the list is the one the scan would give.  The threshold
+    scales with ``tol``: from ``tol = 1e-3`` on it is at least 1, the
+    largest ``lambda_min`` can be, and the certificate never holds.  Zero
+    columns, ``n <= p``, near-collinear designs and large ``tol`` all run
+    the scan.  Cost: one Gram product and a p x p eigensolve in place of
+    p projections over n rows.
     """
+    if _gram_certifies(M, tol):
+        return list(range(M.shape[1]))
+    return _mgs_columns(M, tol)
+
+
+def _gram_certifies(M: np.ndarray, tol: float) -> bool:
+    """True when the Gram certificate of :func:`independent_columns`
+    proves that its scan admits every column of ``M`` at this ``tol``."""
+    n, p = M.shape
+    if p == 0 or n <= p:
+        return False
+    G = M.T @ M
+    diag = G.diagonal()
+    if not (np.isfinite(G).all() and diag.min() >= n * np.finfo(np.float64).tiny):
+        return False
+    s = 1.0 / np.sqrt(diag)
+    lam = np.linalg.eigvalsh(G * s[:, None] * s)[0]
+    delta = 2.0 * p * (n + p) * 2.0 ** -53
+    return bool(lam - delta >= max(1e-6, (1e3 * tol) ** 2))
+
+
+def _mgs_columns(M: np.ndarray, tol: float) -> list[int]:
+    """The left-to-right modified Gram-Schmidt scan of
+    :func:`independent_columns`."""
     n, p = M.shape
     basis = np.empty((n, min(n, p)), dtype=np.float64)
     n_basis = 0

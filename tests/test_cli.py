@@ -1,10 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import npr
 from npr.cli import main
 from npr.schemas import validate_report
 
@@ -472,3 +476,13 @@ class TestEvalAuc:
             "--response", str(TOY / "response.csv"),
             "--splits", "3", "--seed", "1", "--out", str(tmp_path / "a.json"),
         ) == 2
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    # the CLI's start-up cost is mostly imports; scipy.stats alone costs
+    # about as much as the rest of them together
+    src = str(Path(npr.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, npr.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

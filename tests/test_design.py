@@ -4,7 +4,10 @@ from scipy import linalg as sla
 
 from npr.cox import SurvivalData, fit_cox, predict_relative_risk
 from npr.design import (
+    DEFAULT_SELECT_TOL,
     PropagatedDesign,
+    _gram_certifies,
+    _mgs_columns,
     build_design,
     center,
     center_response,
@@ -17,6 +20,7 @@ from npr.exceptions import DegenerateDesignError
 from npr.gaussian import fit_ols, predict
 from npr.graph import DirectedGraph, gen_erdos_renyi, propagate, row_normalize
 from npr.logistic import fit_logistic, predict_proba
+from npr.sim import covariates_for_case, graph_for_case
 
 
 def random_setup(rng, n=60, d=3, K=4):
@@ -216,3 +220,83 @@ def test_predictors_reject_a_foreign_or_centered_design(family):
         predictor(fit, build_design(W, X, 2))
     with pytest.raises(ValueError, match="raw"):
         predictor(fit, center(raw))
+
+
+def _screen_sweep_design(rng, i):
+    """A random design with duplicates, near-combinations (residual ratio
+    1e-9 to 1e-2), zero columns and column scales from 1e-3 to 1e3; every
+    tenth design has n <= p."""
+    p = int(rng.integers(1, 12))
+    n = int(rng.integers(1, p + 1)) if i % 10 == 0 else int(rng.integers(p + 1, 80))
+    M = rng.standard_normal((n, p))
+    for _ in range(int(rng.integers(0, 3))):
+        j = int(rng.integers(0, p))
+        kind = rng.integers(0, 3)
+        if kind == 0 and j > 0:
+            M[:, j] = M[:, rng.integers(0, j)] * rng.uniform(-2.0, 2.0)
+        elif kind == 1 and j > 0:
+            combo = M[:, :j] @ rng.standard_normal(j)
+            noise = rng.standard_normal(n)
+            ratio = 10.0 ** rng.uniform(-9.0, -2.0)
+            M[:, j] = combo + ratio * np.linalg.norm(combo) * noise / np.linalg.norm(noise)
+        elif kind == 2:
+            M[:, j] = 0.0
+    return M * 10.0 ** rng.uniform(-3.0, 3.0, size=p)
+
+
+class TestGramCertificate:
+    def test_fast_path_keeps_the_columns_the_scan_keeps(self):
+        rng = np.random.default_rng(31)
+        certified = {1e-10: 0, 1e-8: 0, 1e-2: 0}
+        fell_back = dict.fromkeys(certified, 0)
+        for i in range(400):
+            M = _screen_sweep_design(rng, i)
+            for tol in certified:
+                assert independent_columns(M, tol) == _mgs_columns(M, tol), (i, tol)
+                if _gram_certifies(M, tol):
+                    certified[tol] += 1
+                else:
+                    fell_back[tol] += 1
+        # the sweep reaches both sides of the certificate
+        assert certified[1e-10] > 50 and certified[1e-8] > 50
+        assert fell_back[1e-10] > 50 and fell_back[1e-8] > 50
+        assert certified[1e-2] == 0
+
+    def test_large_tol_never_certifies(self):
+        # column 2 keeps 5e-3 of its norm: kept at tol 1e-8, dropped at
+        # tol 1e-2; lambda_min ~ 1e-5 clears a threshold that ignores tol
+        rng = np.random.default_rng(32)
+        Q = np.linalg.qr(rng.standard_normal((50, 3)))[0]
+        M = Q.copy()
+        M[:, 2] = Q[:, 0] + Q[:, 1] + 5e-3 * np.sqrt(2.0) * Q[:, 2]
+        assert _gram_certifies(M, 1e-8)
+        assert independent_columns(M, 1e-8) == [0, 1, 2]
+        assert not _gram_certifies(M, 1e-2)
+        assert not _gram_certifies(Q, 1e-2)
+        assert independent_columns(M, 1e-2) == _mgs_columns(M, 1e-2) == [0, 1]
+
+    @pytest.mark.parametrize("case,n", [(1, 3000), (2, 1000), (3, 1000)])
+    def test_simulation_designs_take_the_fast_path(self, case, n):
+        # the full design (testing studies) and an 80% training design
+        # (prediction studies), each centered after any row subset
+        for seed in range(2):
+            rng = np.random.default_rng([seed, case, n])
+            graph, _ = graph_for_case(case, n, rng)
+            raw = build_design(row_normalize(graph), covariates_for_case(case, n, 10, rng), 8)
+            for design in (raw, raw.subset_rows(np.arange(int(0.8 * n)))):
+                assert _gram_certifies(center(design).matrix, DEFAULT_SELECT_TOL)
+
+    def test_benchmark_shaped_designs_take_the_fast_path(self):
+        # ER graphs with edge probability n^-0.8, d = 10 rounded normal
+        # covariates, K = 8: the raw 80% refit design at n = 5e4 and the
+        # centered fit design at n = 1e5
+        rng = np.random.default_rng(33)
+
+        def design(n):
+            W = row_normalize(gen_erdos_renyi(n, rng))
+            return build_design(W, np.round(rng.standard_normal((n, 10)), 6), 8)
+
+        refit = design(50_000).subset_rows(np.sort(rng.permutation(50_000)[:40_000]))
+        for d in (refit, center(design(100_000))):
+            assert _gram_certifies(d.matrix, DEFAULT_SELECT_TOL)
+            assert forward_select(d).selected == list(range(90))

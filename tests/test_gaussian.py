@@ -1,4 +1,6 @@
 import math
+import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -296,3 +298,52 @@ class TestOrderTest:
             order_test(fit, design, k_max=1, xi=1.5)
         with pytest.raises(ValueError, match="k_max"):
             order_test(fit, design, k_max=9)
+
+
+def _same_bits(a, b) -> bool:
+    return (math.isnan(a) and math.isnan(b)) or struct.pack("<d", a) == struct.pack("<d", b)
+
+
+class TestTailFunctions:
+    """The p-values come from ``scipy.special``; they must equal the
+    ``scipy.stats`` forms bit for bit."""
+
+    EDGE_T = [-3.5, -1e-300, -0.0, 0.0, 5e-324, 1e-300, math.inf, math.nan]
+
+    def test_order_test_p_values_match_scipy_stats(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        design, y, _ = fitted_random(rng, K=3)
+        fit = fit_ols(design, y)
+        m = rng.integers(1, 300, size=(300, 4))
+        T = rng.chisquare(m) * rng.uniform(0.2, 3.0, size=m.shape)
+        T.flat[rng.choice(T.size, size=150, replace=False)] = rng.choice(self.EDGE_T, size=150)
+        m[:2] = 5  # every edge value at least once in the chi-square regime
+        T.flat[: len(self.EDGE_T)] = self.EDGE_T
+        chi2_seen = normal_seen = 0
+        for m_row, T_row in zip(m, T):
+            monkeypatch.setattr(
+                "npr.gaussian.wald_statistic",
+                lambda fit, design, j, m_row=m_row, T_row=T_row: {"j": j, "m": int(m_row[j]), "T": float(T_row[j])},
+            )
+            report = order_test(fit, design, k_max=3)
+            for rec in report.records:
+                if rec["regime"] == "chi2":
+                    want = float(stats.chi2.sf(rec["T"], df=rec["m"]))
+                    chi2_seen += 1
+                else:
+                    want = float(min(max(2.0 * (1.0 - stats.norm.cdf(rec["Z"])), 0.0), 1.0))
+                    normal_seen += 1
+                assert _same_bits(rec["p"], want), (rec, want)
+        assert chi2_seen > 200 and normal_seen > 200
+
+    def test_t_statistics_p_values_match_scipy_stats(self):
+        rng = np.random.default_rng(42)
+        design, y, _ = fitted_random(rng, K=3)
+        fit = fit_ols(design, y)
+        p = fit.d_sel
+        for _ in range(50):
+            t = rng.standard_normal(p) * 10.0 ** rng.uniform(-3, 1.5, size=p)
+            t[rng.choice(p, size=4, replace=False)] = rng.choice([0.0, math.inf, -math.inf, math.nan], size=4)
+            recs = t_statistics(replace(fit, theta_hat=t, std_errors=np.ones(p)))
+            for rec, ti in zip(recs, t):
+                assert _same_bits(rec["p"], float(2.0 * stats.norm.sf(abs(ti))))
