@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg as sla
 
+from ._blas import one_thread
 from .design import FitRecord
 from .exceptions import SingularMatrixError
 
@@ -22,6 +23,7 @@ JITTER = 1e-10
 MAX_HALVINGS = 40
 
 
+@one_thread
 def _solve_information(hess: np.ndarray, score: np.ndarray) -> tuple[np.ndarray, bool]:
     """Newton step ``hess^-1 score``, and whether the ridge retry was needed."""
     try:

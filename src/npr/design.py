@@ -251,10 +251,15 @@ def forward_select(design: PropagatedDesign, tol: float = DEFAULT_SELECT_TOL) ->
     if tol <= 0:
         raise ValueError("tol must be positive")
     M = design.matrix
-    bad = np.flatnonzero(~np.isfinite(M).all(axis=0))
-    if bad.size:
-        raise ValueError(f"design column {design.column_names()[bad[0]]} has a non-finite value")
-    selected = independent_columns(M, tol)
+    # independent_columns, with the finiteness scan only where the Gram
+    # certificate fails: a finite Gram matrix proves every entry finite
+    if _gram_certifies(M, tol):
+        selected = list(range(M.shape[1]))
+    else:
+        bad = np.flatnonzero(~np.isfinite(M).all(axis=0))
+        if bad.size:
+            raise ValueError(f"design column {design.column_names()[bad[0]]} has a non-finite value")
+        selected = _mgs_columns(M, tol)
     if not selected:
         raise DegenerateDesignError("degenerate design: no independent columns")
     return replace(design, selected=selected)

@@ -18,6 +18,7 @@ import numpy as np
 from scipy import linalg as sla
 from scipy import special
 
+from ._blas import one_thread
 from .design import FitRecord, PropagatedDesign, fit_inputs
 from .exceptions import SingularMatrixError
 
@@ -56,6 +57,7 @@ class GaussianFit(FitRecord):
         return np.asarray([self.provenance[c][0] for c in self.selected])
 
 
+@one_thread
 def fit_ols(design: PropagatedDesign, y: np.ndarray) -> GaussianFit:
     """Least-squares fit of a centered, forward-selected design.
 
@@ -169,6 +171,7 @@ def _order_bound(fit: GaussianFit, design: PropagatedDesign | None) -> int:
     return max(k for k, _ in fit.provenance)
 
 
+@one_thread
 def wald_statistic(fit: GaussianFit, design: PropagatedDesign | None, j: int) -> dict:
     """Wald quadratic form for the hypothesis that all selected
     coefficients of propagation order >= j vanish.

@@ -114,7 +114,19 @@ def auc(scores, labels) -> float:
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC undefined: need at least one positive and one negative label")
-    from scipy.stats import rankdata
-
-    ranks = rankdata(scores)
+    ranks = _average_ranks(scores)
     return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+def _average_ranks(a: np.ndarray) -> np.ndarray:
+    """``scipy.stats.rankdata(a)`` (ties get their average rank, any NaN
+    makes every rank NaN) without importing ``scipy.stats``."""
+    if np.isnan(a).any():
+        return np.full(a.size, np.nan)
+    order = np.argsort(a, kind="stable")
+    s = a[order]
+    starts = np.concatenate(([True], s[1:] != s[:-1]))
+    dense = np.empty(a.size, dtype=np.intp)
+    dense[order] = np.cumsum(starts)
+    count = np.append(np.flatnonzero(starts), a.size)
+    return 0.5 * (count[dense] + count[dense - 1] + 1)

@@ -145,6 +145,20 @@ class TestForwardSelect:
         with pytest.raises(ValueError, match="k0_x1"):
             forward_select(design)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_in_any_column_rejected_by_name(self, bad):
+        # the finiteness scan runs only where the Gram certificate fails,
+        # which any non-finite entry makes it do
+        rng = np.random.default_rng(10)
+        clean = build_design(*random_setup(rng), 1)
+        assert _gram_certifies(clean.matrix, DEFAULT_SELECT_TOL)
+        for j, name in enumerate(clean.column_names()):
+            M = clean.matrix.copy()
+            M[int(rng.integers(M.shape[0])), j] = bad
+            design = PropagatedDesign(matrix=M, provenance=clean.provenance)
+            with pytest.raises(ValueError, match=f"design column {name} has a non-finite value"):
+                forward_select(design)
+
     def test_selected_submatrix_nonsingular_vs_svd_oracle(self):
         rng = np.random.default_rng(9)
         for _ in range(10):

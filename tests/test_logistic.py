@@ -1,11 +1,19 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.special import expit
+from scipy.stats import rankdata
+
+import npr
 
 from npr.design import PropagatedDesign, build_design, forward_select
 from npr.exceptions import SeparationError
 from npr.graph import DirectedGraph, gen_erdos_renyi, row_normalize
-from npr.logistic import auc, fit_logistic, predict_proba
+from npr.logistic import _average_ranks, auc, fit_logistic, predict_proba
 
 
 def empty_operator(n):
@@ -298,3 +306,30 @@ class TestAuc:
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="AUC undefined"):
             auc([0.1, 0.9], [1, 1])
+
+    def test_ranks_and_auc_match_scipy_rankdata_bitwise(self):
+        # ties, signed zeros, infinities and the odd NaN (all-NaN ranks)
+        rng = np.random.default_rng(14)
+        pool = np.array([0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf, 1e-300, -1e300])
+        for i in range(2000):
+            n = int(rng.integers(2, 80))
+            a = np.where(rng.random(n) < 0.5, rng.choice(pool, n), np.round(rng.standard_normal(n), 1))
+            if i % 40 == 0:
+                a[rng.integers(n)] = np.nan
+            labels = rng.integers(0, 2, n)
+            labels[:2] = [0, 1]
+            ranks = rankdata(a)
+            assert _average_ranks(a).tobytes() == ranks.tobytes(), i
+            n_pos = int(labels.sum())
+            want = float((ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * (n - n_pos)))
+            assert np.float64(auc(a, labels)).tobytes() == np.float64(want).tobytes(), i
+
+    def test_auc_leaves_scipy_stats_out(self):
+        src = str(Path(npr.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = (
+            "import sys; from npr.logistic import auc; auc([0.2, 0.7, 0.7], [0, 1, 0]); "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
