@@ -164,10 +164,11 @@ def gen_npr(W: RowStochasticOperator, X: np.ndarray, lambdas, sigma: float, seed
         if l.shape[0] != X.shape[1]:
             raise ValueError("each coefficient vector must match the covariate dimension")
     rng = _as_rng(seed)
-    blocks = propagate(W, X, len(lambdas) - 1)
+    M = propagate(W, X, len(lambdas) - 1)
+    d = X.shape[1]
     y = np.zeros(W.n_nodes)
-    for block, lam in zip(blocks, lambdas):
-        y += block @ lam
+    for k, lam in enumerate(lambdas):
+        y += M[:, k * d : (k + 1) * d] @ lam
     if sigma:
         y = y + sigma * rng.standard_normal(W.n_nodes)
     return y

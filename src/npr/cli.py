@@ -273,15 +273,14 @@ def cmd_predict(args) -> None:
         raise ValueError(
             f"covariates have {X.shape[1]} columns but the fit used {payload['d']}"
         )
-    values = []
+    values = np.empty(0)
     if X.shape[0]:  # an empty covariate file has no graph to read
         predictors = {"gaussian": predict_gaussian, "logistic": predict_proba, "cox": predict_relative_risk}
         values = predictors[payload["family"]](_rebuild_fit(payload), _load_design(args, X, payload["K"]))
+    # the bytes csv.writer gives: no field here needs quoting
+    rows = "".join(f"{i},{v!r}\r\n" for i, v in enumerate(values.tolist()))
     with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node", "prediction"])
-        for i, v in enumerate(values):
-            writer.writerow([i, repr(float(v))])
+        fh.write("node,prediction\r\n" + rows)
 
 
 def _replicate_csv(path, report) -> None:
@@ -341,8 +340,8 @@ def cmd_simulate_test(args) -> None:
 
 def cmd_eval_auc(args) -> None:
     run = _Run("eval-auc", args, ["fit", "edges", "covariates", "response"])
-    if args.splits < 1:
-        raise ValueError("--splits must be at least 1")
+    if args.splits < 2:  # one split has no spread to give an interval
+        raise ValueError("--splits must be at least 2")
     run.seed = _resolve_seed(args)
     payload = _fit_from_json(args.fit)
     if payload["family"] != "logistic":
@@ -361,7 +360,7 @@ def cmd_eval_auc(args) -> None:
         proba = predict_proba(fit, design.subset_rows(test))
         scores.append(auc(proba, y[test]))
     scores = np.asarray(scores)
-    sd = float(scores.std(ddof=1)) if scores.size > 1 else 0.0
+    sd = float(scores.std(ddof=1))
     half = Z_95 * sd / math.sqrt(scores.size)
     report = {
         "schema_version": 1,

@@ -84,11 +84,11 @@ class PropagatedDesign:
 
 
 def build_design(W: RowStochasticOperator, X: np.ndarray, K: int) -> PropagatedDesign:
-    """Stack ``(X, WX, ..., W^K X)`` into an uncentered, unselected design."""
-    blocks = propagate(W, X, K)
-    d = blocks[0].shape[1]
+    """The design ``(X, WX, ..., W^K X)``, uncentered and unselected."""
+    M = propagate(W, X, K)
+    d = M.shape[1] // (K + 1)
     provenance = [(k, j) for k in range(K + 1) for j in range(d)]
-    return PropagatedDesign(matrix=np.hstack(blocks), provenance=provenance)
+    return PropagatedDesign(matrix=M, provenance=provenance)
 
 
 def center(design: PropagatedDesign) -> PropagatedDesign:

@@ -15,6 +15,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import lapack_lite
 from scipy import linalg as sla
 from scipy import special
 
@@ -57,6 +58,34 @@ class GaussianFit(FitRecord):
         return np.asarray([self.provenance[c][0] for c in self.selected])
 
 
+def _qr(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced QR of a tall ``X``, bitwise equal to ``np.linalg.qr(X)``.
+
+    The same ``dgeqrf`` then ``dorgqr`` from numpy's own LAPACK binding,
+    with the same workspace sizes, but on one Fortran-ordered copy of ``X``
+    overwritten in place: ``np.linalg.qr`` also copies that copy in and out
+    of its LAPACK buffers.  ``lapack_lite`` takes C-ordered arrays, so each
+    routine gets the copy's transpose, which is a view of the same memory.
+    Q comes back C-ordered, as from ``np.linalg.qr``; the bits of the
+    products taken with it depend on that layout.
+    """
+    m, p = X.shape
+    A = np.array(X, dtype=np.float64, order="F")
+    tau = np.empty(p)
+
+    def call(routine, *dims):
+        query = np.empty(1)
+        routine(*dims, A.T, m, tau, query, -1, 0)
+        work = np.empty(max(1, p, int(query[0])))
+        if routine(*dims, A.T, m, tau, work, work.size, 0)["info"]:
+            raise np.linalg.LinAlgError("QR factorization failed")
+
+    call(lapack_lite.dgeqrf, m, p)
+    R = np.triu(A[:p])
+    call(lapack_lite.dorgqr, m, p, p)
+    return np.ascontiguousarray(A), R
+
+
 @one_thread
 def fit_ols(design: PropagatedDesign, y: np.ndarray) -> GaussianFit:
     """Least-squares fit of a centered, forward-selected design.
@@ -79,7 +108,7 @@ def fit_ols(design: PropagatedDesign, y: np.ndarray) -> GaussianFit:
     y_mean = float(y.mean())
     yc = y - y_mean
 
-    Q, R = np.linalg.qr(X)
+    Q, R = _qr(X)
     rdiag = np.abs(np.diag(R))
     if rdiag.min() <= 1e-12 * max(rdiag.max(), 1.0):
         raise SingularMatrixError(
@@ -124,9 +153,9 @@ def predict(fit: GaussianFit, design_new: PropagatedDesign) -> np.ndarray:
     and K) and is used raw; the fit's stored centering constants are
     applied here.
     """
-    M = fit.gather(design_new)
+    M = fit.gather(design_new)  # a fresh copy, safe to center in place
     if fit.column_means is not None:
-        M = M - fit.column_means
+        M -= fit.column_means
     return fit.y_mean + M @ fit.theta_hat
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,24 +102,23 @@ def row_normalize(g: DirectedGraph) -> RowStochasticOperator:
     without out-edges keep an all-zero row.
     """
     n = g.n_nodes
-    if g.n_edges:
-        src = g.edges[:, 0]
-        dst = g.edges[:, 1]
-        out_deg = np.bincount(src, minlength=n)
-        weights = 1.0 / out_deg[src]
-        mat = sparse.csr_matrix((weights, (src, dst)), shape=(n, n))
-    else:
-        out_deg = np.zeros(n, dtype=np.int64)
-        mat = sparse.csr_matrix((n, n), dtype=np.float64)
-    mat.sum_duplicates()
+    # one sort of the edge codes gives the CSR arrays directly: rows in
+    # order, column indices sorted within each row (edges are distinct)
+    rows, cols = np.divmod(np.sort(g.edges[:, 0] * n + g.edges[:, 1]), n)
+    out_deg = np.bincount(g.edges[:, 0], minlength=n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(out_deg, out=indptr[1:])
+    mat = sparse.csr_matrix((1.0 / out_deg[rows], cols, indptr), shape=(n, n))
     return RowStochasticOperator(n_nodes=n, csr=mat, out_degrees=out_deg)
 
 
-def propagate(W: RowStochasticOperator, X: np.ndarray, K: int) -> list[np.ndarray]:
-    """Return ``[X, WX, ..., W^K X]`` computed by repeated sparse products.
+def propagate(W: RowStochasticOperator, X: np.ndarray, K: int) -> np.ndarray:
+    """Return ``(X, WX, ..., W^K X)`` side by side in one C-ordered
+    ``(n, (K+1)d)`` array, block k in columns ``k*d`` to ``(k+1)*d``.
 
-    ``result[0]`` is X itself (as float64); each further block is W applied
-    to the previous one, costing O(|E| * d) per step.
+    Each block is W applied to the previous one, costing O(|E| * d) per
+    step, and is written into its columns as it is made; only the last
+    product is held besides the result.
     """
     if K < 0:
         raise ValueError("K must be non-negative")
@@ -129,10 +129,13 @@ def propagate(W: RowStochasticOperator, X: np.ndarray, K: int) -> list[np.ndarra
         raise ValueError(
             f"X has {X.shape[0]} rows but operator has {W.n_nodes} nodes"
         )
-    blocks = [X]
-    for _ in range(K):
-        blocks.append(W.csr @ blocks[-1])
-    return blocks
+    n, d = X.shape
+    M = np.empty((n, (K + 1) * d))
+    M[:, :d] = prev = X
+    for k in range(1, K + 1):
+        prev = W.csr @ prev
+        M[:, k * d : (k + 1) * d] = prev
+    return M
 
 
 def spectral_bound_check(W: RowStochasticOperator, k: int) -> float:
@@ -312,12 +315,19 @@ def _read_csv(path, header: list[str] | None, dtype, allow_empty: bool = False) 
             if not allow_empty:
                 raise ValueError(f"{path}: no data rows")
             return np.empty((0, width), dtype=dtype)
-        try:
-            data = np.loadtxt(itertools.chain([first], rows), dtype=dtype, **_LOADTXT)
-            if data.shape[1] == width:
-                return data
-        except ValueError:
-            pass
+        # numpy's chunked C reader runs only on a path (a file object is
+        # fed to it line by line), and only a regular file can be opened
+        # again from the start.  It skips empty lines but raises on
+        # whitespace-only ones, so such a file is read again, filtered.
+        sources = [(path, 1)] if os.path.isfile(path) else []
+        sources.append((itertools.chain([first], rows), 0))
+        for source, skip in sources:
+            try:
+                data = np.loadtxt(source, dtype=dtype, skiprows=skip, **_LOADTXT)
+                if data.shape[1] == width:
+                    return data
+            except ValueError:
+                pass
 
     # Some row is bad: halve the rows until the first bad one is left.
     with open(path) as fh:

@@ -61,15 +61,16 @@ def test_criterion_02_propagation_oracle():
         for _ in range(100):
             n = int(rng.integers(5, 51))
             W = row_normalize(gen_erdos_renyi(n, rng))
-            X = rng.standard_normal((n, int(rng.integers(1, 5))))
+            d = int(rng.integers(1, 5))
+            X = rng.standard_normal((n, d))
             K = int(rng.integers(0, 6))
-            blocks = propagate(W, X, K)
+            M = propagate(W, X, K)
             Wd = W.toarray()
             expected = X
             for k in range(K + 1):
                 if k:
                     expected = Wd @ expected
-                assert np.abs(blocks[k] - expected).max() < 1e-12
+                assert np.abs(M[:, k * d : (k + 1) * d] - expected).max() < 1e-12
 
 
 def test_criterion_03_reduced_form_identities():
@@ -246,7 +247,7 @@ def test_criterion_09_glm_derivative_and_monotonicity_checks():
             n = int(rng.integers(25, 45))
             W = row_normalize(gen_erdos_renyi(n, rng))
             X = rng.standard_normal((n, 2))
-            M = np.column_stack([np.ones(n), np.hstack(propagate(W, X, 1))])
+            M = np.column_stack([np.ones(n), propagate(W, X, 1)])
             y = (rng.random(n) < 0.5).astype(float)
             theta = rng.normal(0, 0.3, M.shape[1])
 

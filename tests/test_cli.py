@@ -306,6 +306,24 @@ class TestPredictCommand:
         ) == 0
         assert out.read_text().strip() == "node,prediction"
 
+    def test_rows_are_the_bytes_csv_writer_gives(self, toy_fit, tmp_path):
+        from npr.cli import _load_design, _rebuild_fit
+        from npr.gaussian import predict
+
+        empty = tmp_path / "empty.csv"
+        empty.write_text("x1,x2\n")
+        X = np.loadtxt(TOY / "covariates.csv", delimiter=",", skiprows=1)
+        args = type("Args", (), {"edges": str(TOY / "edges.csv")})
+        values = predict(_rebuild_fit(json.loads(toy_fit.read_text())), _load_design(args, X, 2))
+        for covariates, rows in ((TOY / "covariates.csv", values), (empty, [])):
+            out, want = tmp_path / "pred.csv", tmp_path / "want.csv"
+            assert run(
+                "predict", "--fit", str(toy_fit), "--edges", str(TOY / "edges.csv"),
+                "--covariates", str(covariates), "--out", str(out),
+            ) == 0
+            write_rows(want, ["node", "prediction"], [[i, repr(float(v))] for i, v in enumerate(rows)])
+            assert out.read_bytes() == want.read_bytes()
+
     def test_wrong_width_exits_2(self, toy_fit, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("x1\n1.0\n")
@@ -459,14 +477,17 @@ class TestEvalAuc:
         assert len(payload["per_split"]) == 12
 
     def test_zero_splits_exits_2(self, tmp_path, capsys):
-        assert run(
-            "eval-auc", "--fit", str(TOY / "golden_logistic_fit.json"),
-            "--edges", str(TOY / "edges.csv"),
-            "--covariates", str(TOY / "covariates.csv"),
-            "--response", str(TOY / "binary.csv"),
-            "--splits", "0", "--seed", "1", "--out", str(tmp_path / "a.json"),
-        ) == 2
-        assert "--splits" in capsys.readouterr().err
+        # one split would report a zero-width interval around its own AUC
+        for splits in ("0", "1"):
+            assert run(
+                "eval-auc", "--fit", str(TOY / "golden_logistic_fit.json"),
+                "--edges", str(TOY / "edges.csv"),
+                "--covariates", str(TOY / "covariates.csv"),
+                "--response", str(TOY / "binary.csv"),
+                "--splits", splits, "--seed", "1", "--out", str(tmp_path / "a.json"),
+            ) == 2
+            assert "--splits must be at least 2" in capsys.readouterr().err
+            assert not (tmp_path / "a.json").exists()
 
     def test_requires_logistic_fit(self, toy_fit, tmp_path):
         assert run(

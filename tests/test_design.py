@@ -49,7 +49,13 @@ class TestBuildDesign:
         rng = np.random.default_rng(2)
         W, X = random_setup(rng)
         design = build_design(W, X, 3)
-        assert np.array_equal(design.full_matrix(), np.hstack(propagate(W, X, 3)))
+        M = design.full_matrix()
+        assert np.array_equal(M, propagate(W, X, 3))
+        d = X.shape[1]
+        expected = X
+        for k in range(4):
+            assert np.array_equal(M[:, k * d : (k + 1) * d], expected)
+            expected = W.csr @ expected
 
     def test_column_names(self):
         rng = np.random.default_rng(3)

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from npr import gaussian
 from npr.design import PropagatedDesign, build_design, center, forward_select
 from npr.gaussian import (
+    _qr,
     fit_ols,
     holm_reject,
     order_test,
@@ -101,6 +103,56 @@ class TestFitOls:
             y.mean() - fit.y_mean
         )
         assert np.abs(predict(fit, raw) - fitted).max() < 1e-12
+
+    def test_fit_and_predict_leave_the_designs_unchanged(self):
+        rng = np.random.default_rng(5)
+        raw = build_design(row_normalize(gen_erdos_renyi(300, rng)), rng.standard_normal((300, 3)), 3)
+        design = forward_select(center(raw))
+        before, raw_before = design.matrix.copy(), raw.matrix.copy()
+        fit = fit_ols(design, rng.standard_normal(300))
+        predict(fit, raw)
+        assert np.array_equal(design.matrix, before)
+        assert np.array_equal(raw.matrix, raw_before)
+
+
+class TestQr:
+    """``_qr`` factors in place through ``lapack_lite``; ``np.linalg.qr``
+    is the reference it must equal bit for bit."""
+
+    # p = 1; p = 6 and 31, below the 32-column block; p = 90, the width of
+    # the benchmark designs; p = 150, past the 128-column crossover where
+    # dgeqrf and dorgqr switch to blocked code (and their workspace matters)
+    @pytest.mark.parametrize(
+        "m, p",
+        [(2, 1), (24, 1), (5000, 1), (24, 6), (200, 31), (3000, 31), (91, 90), (3000, 90), (20000, 90),
+         (151, 150), (20000, 150)],
+    )
+    def test_matches_numpy_qr_bitwise(self, m, p):
+        rng = np.random.default_rng([m, p])
+        X = rng.standard_normal((m, p)) * rng.uniform(1e-3, 1e3, p)
+        for layout in (X, np.asfortranarray(X)):
+            before = layout.copy()
+            Q, R = _qr(layout)
+            Q0, R0 = np.linalg.qr(layout)
+            assert np.array_equal(layout, before)
+            assert np.array_equal(Q, Q0) and np.array_equal(R, R0)
+            # the products fit_ols takes with Q depend on its layout
+            assert Q.flags.c_contiguous and R.flags.c_contiguous
+
+    def test_fits_equal_the_numpy_qr_fits(self, monkeypatch):
+        fits = []
+        for qr in (_qr, np.linalg.qr):
+            monkeypatch.setattr(gaussian, "_qr", qr)
+            draws = np.random.default_rng(7)
+            for _ in range(30):
+                n = int(draws.integers(40, 400))
+                design, y, _ = fitted_random(draws, n=n, d=int(draws.integers(1, 5)), K=int(draws.integers(0, 5)))
+                fits.append(fit_ols(design, y))
+        half = len(fits) // 2
+        for a, b in zip(fits[:half], fits[half:]):
+            for field in ("theta_hat", "gram", "gram_inverse", "std_errors"):
+                assert np.array_equal(getattr(a, field), getattr(b, field))
+            assert (a.rss, a.sigma2_hat) == (b.rss, b.sigma2_hat)
 
 
 class TestTStatistics:

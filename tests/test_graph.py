@@ -1,3 +1,4 @@
+import os
 import re
 import warnings
 
@@ -82,21 +83,43 @@ class TestRowNormalize:
             assert np.all(sums[out_deg == 0] == 0.0)
             assert W.csr.data.min() >= 0
 
+    @pytest.mark.parametrize(
+        "g",
+        [gen_erdos_renyi(500, s) for s in range(4)]
+        + [gen_powerlaw(300, 4), gen_sbm(400, 5)[0], star_graph(), DirectedGraph(7, [(6, 0), (2, 5), (2, 1)])]
+        + [DirectedGraph(1, np.empty((0, 2))), DirectedGraph(6, np.empty((0, 2)))],
+    )
+    def test_csr_arrays_equal_the_coo_conversion(self, g):
+        # the COO build it replaces: csr_matrix((w, (src, dst))), then
+        # sum_duplicates, which sorts the indices of each row
+        from scipy import sparse
+
+        src, dst = g.edges[:, 0], g.edges[:, 1]
+        deg = np.bincount(src, minlength=g.n_nodes)
+        ref = sparse.csr_matrix((1.0 / deg[src], (src, dst)), shape=(g.n_nodes, g.n_nodes))
+        ref.sum_duplicates()
+        W = row_normalize(g)
+        for name in ("data", "indices", "indptr"):
+            got, want = getattr(W.csr, name), getattr(ref, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert W.csr.shape == ref.shape
+        assert np.array_equal(W.out_degrees, deg) and W.out_degrees.dtype == np.int64
+        if g.n_nodes > 1:
+            assert (W.out_degrees == 0).any()  # isolated nodes, rows of zeros
+
 
 class TestPropagate:
     def test_k_zero_identity(self):
         W = row_normalize(star_graph())
         X = np.arange(10.0).reshape(5, 2)
-        blocks = propagate(W, X, 0)
-        assert len(blocks) == 1
-        assert np.array_equal(blocks[0], X)
+        M = propagate(W, X, 0)
+        assert M.shape == X.shape
+        assert np.array_equal(M, X)
 
     def test_two_cycle_swap(self):
         W = row_normalize(DirectedGraph(2, [(0, 1), (1, 0)]))
-        blocks = propagate(W, np.array([[1.0], [3.0]]), 2)
-        assert np.array_equal(blocks[0], [[1], [3]])
-        assert np.array_equal(blocks[1], [[3], [1]])
-        assert np.array_equal(blocks[2], [[1], [3]])
+        M = propagate(W, np.array([[1.0], [3.0]]), 2)
+        assert np.array_equal(M, [[1, 3, 1], [3, 1, 3]])
 
     def test_matches_dense_power_oracle(self):
         rng = np.random.default_rng(1)
@@ -106,12 +129,13 @@ class TestPropagate:
             W = row_normalize(g)
             X = rng.standard_normal((n, 3))
             K = int(rng.integers(1, 6))
-            blocks = propagate(W, X, K)
+            M = propagate(W, X, K)
+            assert M.shape == (n, 3 * (K + 1)) and M.flags.c_contiguous
             Wd = W.toarray()
             expected = X
             for k in range(1, K + 1):
                 expected = Wd @ expected
-                assert np.abs(blocks[k] - expected).max() < 1e-12
+                assert np.abs(M[:, 3 * k : 3 * (k + 1)] - expected).max() < 1e-12
 
     def test_dimension_mismatch(self):
         W = row_normalize(star_graph())
@@ -301,3 +325,17 @@ def test_csv_reader_rules(tmp_path, reader, text, expected):
         got = reader(path)
     got = got.edges if reader is read_edge_list else got
     np.testing.assert_array_equal(got, expected)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_csv_reader_reads_a_pipe_once():
+    # a pipe cannot be opened again from the start, so the reader must not
+    # take the path a second time for its fast read
+    r, w = os.pipe()
+    os.write(w, b"x1\n1.5\n\n2.5\n")
+    os.close(w)
+    try:
+        got = read_covariates(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+    np.testing.assert_array_equal(got, [[1.5], [2.5]])

@@ -36,9 +36,9 @@ def test_row_normalize_invariants(data):
     assert np.all(sums[out_deg == 0] == 0.0)
     # every power stays row-substochastic
     ones = np.ones((n, 1))
-    for block in propagate(W, ones, 4):
-        assert block.max() <= 1.0 + 1e-12
-        assert block.min() >= -1e-15
+    M = propagate(W, ones, 4)
+    assert M.max() <= 1.0 + 1e-12
+    assert M.min() >= -1e-15
 
 
 @given(
