@@ -19,6 +19,8 @@ import datetime
 import hashlib
 import json
 import math
+import os
+import stat
 import sys
 import time
 
@@ -49,6 +51,11 @@ DETERMINISTIC_SEED_HELP = (
 
 
 def _sha256(path) -> str:
+    """The digest of a tracked input.  It is taken before the command reads
+    the file, so a pipe or other non-regular file, which can be read only
+    once, is refused."""
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        raise ValueError(f"{path}: not a regular file; the report's input digest needs a regular file")
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), b""):

@@ -8,6 +8,19 @@ O(N log N) once; each evaluation then makes O(N d) passes for the score and
 one O(N d^2) product for the information, and only the tie groups of two or
 more rows go through ``np.add.reduceat`` (a singleton group's sum is its
 row).  The partial likelihood depends on the times only through their ranks.
+
+Memory layout decides the last bits of a BLAS product, so each product
+keeps one layout.  The engine holds two sorted copies of the selected
+columns: a C-ordered one for ``X @ beta``, the event-row sums and the
+information product ``(X * w c)' X``, and an F-ordered one whose columns
+are contiguous, for the running sums of ``w X`` down each column (a
+cumulative sum adds in row order whatever the layout, so its bits do not
+change).  One n-by-d workspace per fit holds ``w X`` in its F view, then
+``X * w c`` in its C view, whose first rows then hold ``u * d``; that
+product needs its own buffer, since on the buffer of ``u`` itself numpy
+computes ``(u d)' u`` with a symmetric rank-k update instead of a general
+product, and the bits differ.  The risk-set means ``u`` are a C-ordered
+gather, as before.
 """
 
 from __future__ import annotations
@@ -69,6 +82,7 @@ class _RiskSetEngine:
         # descending time so the risk set of each event time is a prefix
         order = np.argsort(-time, kind="stable")
         self.X = X[order]
+        self.XF = np.asfortranarray(self.X)
         self.event = event[order].astype(bool)
         t_sorted = time[order]
         # group boundaries for tied times: starts[g]..ends[g]-1 share a time
@@ -86,6 +100,9 @@ class _RiskSetEngine:
         self.event_x_sum = self.X[self.event].sum(axis=0)
         self.n = X.shape[0]
         self.p = X.shape[1]
+        # the n-by-p workspace of every evaluation; pages are touched on
+        # the first write, after fit_cox has dropped its unsorted copy
+        self.work = np.empty(self.n * self.p)
 
     def group_sums(self, a: np.ndarray) -> np.ndarray:
         """Per-tie-group sums of the rows of ``a``.
@@ -93,10 +110,13 @@ class _RiskSetEngine:
         Bitwise equal to ``np.add.reduceat(a, self.starts, axis=0)``, which
         pays a fixed cost per segment: here singleton groups are copied, and
         only the tied groups are reduced, each over the same rows as there.
+        When every group is a singleton the sums are the rows, and ``a``
+        itself is returned.
         """
+        if not self.tied.size:
+            return a
         out = a[self.starts]
-        if self.tied.size:
-            out[self.tied] = np.add.reduceat(a, self.tied_bounds, axis=0)[::2]
+        out[self.tied] = np.add.reduceat(a, self.tied_bounds, axis=0)[::2]
         return out
 
     def loglik(self, beta: np.ndarray) -> float:
@@ -109,19 +129,23 @@ class _RiskSetEngine:
         return ll
 
     def loglik_score_info(self, beta: np.ndarray):
-        X, starts = self.X, self.starts
+        X, n, p = self.X, self.n, self.p
         eta = X @ beta
         shift = eta.max()
         w = np.exp(eta - shift)
-        wX = X * w[:, None]
         s0 = np.cumsum(self.group_sums(w))
-        s1 = self.group_sums(wX)
+        # w X in the workspace's F view: each column's running sum is then
+        # one contiguous pass
+        s1 = self.work.reshape(p, n).T
+        np.multiply(self.XF, w[:, None], out=s1)
+        s1 = self.group_sums(s1)
         np.add.accumulate(s1, axis=0, out=s1)
 
         eg = self.event_groups
         d = self.d_group[eg]
         s0_e = s0[eg]
-        u = s1[eg] / s0_e[:, None]  # risk-set mean covariate per event group
+        u = s1[eg]  # C-ordered, and no longer in the workspace
+        u /= s0_e[:, None]  # risk-set mean covariate per event group
 
         ll = float(eta[self.event].sum() - d @ (np.log(s0_e) + shift))
         score = self.event_x_sum - d @ u
@@ -131,9 +155,13 @@ class _RiskSetEngine:
         ratio = np.zeros(s0.shape[0])
         ratio[eg] = d / s0_e
         c_group = np.cumsum(ratio[::-1])[::-1]
-        c_row = np.repeat(c_group, self.ends - starts)
-        np.multiply(X, (w * c_row)[:, None], out=wX)
-        info = wX.T @ X - (u * d[:, None]).T @ u
+        c_row = np.repeat(c_group, self.ends - self.starts)
+        wcX = self.work.reshape(n, p)
+        np.multiply(X, (w * c_row)[:, None], out=wcX)
+        xwx = wcX.T @ X
+        ud = wcX[: eg.size]
+        np.multiply(u, d[:, None], out=ud)
+        info = xwx - ud.T @ u
         return ll, score, info
 
 
@@ -154,10 +182,11 @@ def fit_cox(
         raise ValueError(f"survival data has {surv.n} rows, design has {design.n_rows}")
 
     engine = _RiskSetEngine(X, surv.time, surv.event)
+    del X  # the engine holds its own sorted copies
 
     result = newton_maximize(
         engine.loglik_score_info,
-        np.zeros(X.shape[1]),
+        np.zeros(engine.p),
         max_iter=max_iter,
         tol=tol,
         loglik=engine.loglik,

@@ -11,7 +11,6 @@ never materialized.
 from __future__ import annotations
 
 import csv
-import itertools
 import os
 from dataclasses import dataclass, field
 
@@ -31,6 +30,9 @@ class DirectedGraph:
 
     n_nodes: int
     edges: np.ndarray  # shape (m, 2) int64, rows are (source, target)
+    # the sorted edge codes src*n + dst of the duplicate check, which
+    # row_normalize reads as CSR order
+    _codes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_nodes < 1:
@@ -44,9 +46,10 @@ class DirectedGraph:
                 raise ValueError("edge endpoint out of range [0, n_nodes)")
             if np.any(edges[:, 0] == edges[:, 1]):
                 raise ValueError("self-loops are not allowed")
-            codes = np.sort(edges[:, 0] * self.n_nodes + edges[:, 1])
-            if np.any(codes[1:] == codes[:-1]):
-                raise ValueError("duplicate edges are not allowed")
+        codes = np.sort(edges[:, 0] * self.n_nodes + edges[:, 1])
+        if np.any(codes[1:] == codes[:-1]):
+            raise ValueError("duplicate edges are not allowed")
+        object.__setattr__(self, "_codes", codes)
 
     @property
     def n_edges(self) -> int:
@@ -102,9 +105,9 @@ def row_normalize(g: DirectedGraph) -> RowStochasticOperator:
     without out-edges keep an all-zero row.
     """
     n = g.n_nodes
-    # one sort of the edge codes gives the CSR arrays directly: rows in
+    # the graph's sorted edge codes give the CSR arrays directly: rows in
     # order, column indices sorted within each row (edges are distinct)
-    rows, cols = np.divmod(np.sort(g.edges[:, 0] * n + g.edges[:, 1]), n)
+    rows, cols = np.divmod(g._codes, n)
     out_deg = np.bincount(g.edges[:, 0], minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(out_deg, out=indptr[1:])
@@ -287,6 +290,16 @@ def gen_powerlaw(n: int, seed) -> DirectedGraph:
 _LOADTXT = {"delimiter": ",", "comments": None, "quotechar": '"', "ndmin": 2}
 
 
+def _parsed(source, dtype, width: int, skiprows: int = 0) -> np.ndarray | None:
+    """``np.loadtxt`` of a path or of lines, or ``None`` when a value does
+    not parse or the rows are not ``width`` wide."""
+    try:
+        data = np.loadtxt(source, dtype=dtype, skiprows=skiprows, **_LOADTXT)
+    except ValueError:
+        return None
+    return data if data.shape[1] == width else None
+
+
 def _read_csv(path, header: list[str] | None, dtype, allow_empty: bool = False) -> np.ndarray:
     """Parse an input CSV file: one header line, then rows of numbers.
 
@@ -309,36 +322,30 @@ def _read_csv(path, header: list[str] | None, dtype, allow_empty: bool = False) 
             shown = ",".join(names)
             raise ValueError(f"{path}: expected header " + (shown if header is None else f"'{shown}'"))
         width = len(names)
-        rows = (row for row in fh if not row.isspace())
-        first = next(rows, None)
+        numbered = ((no, row) for no, row in enumerate(fh, start=2) if not row.isspace())
+        first = next(numbered, None)
         if first is None:
             if not allow_empty:
                 raise ValueError(f"{path}: no data rows")
             return np.empty((0, width), dtype=dtype)
         # numpy's chunked C reader runs only on a path (a file object is
-        # fed to it line by line), and only a regular file can be opened
-        # again from the start.  It skips empty lines but raises on
-        # whitespace-only ones, so such a file is read again, filtered.
-        sources = [(path, 1)] if os.path.isfile(path) else []
-        sources.append((itertools.chain([first], rows), 0))
-        for source, skip in sources:
-            try:
-                data = np.loadtxt(source, dtype=dtype, skiprows=skip, **_LOADTXT)
-                if data.shape[1] == width:
-                    return data
-            except ValueError:
-                pass
+        # fed to it line by line), so a regular file is read again by its
+        # path.  That reader skips empty lines but raises on whitespace-only
+        # ones; after any raise, and on a pipe, which cannot be read twice,
+        # the rows come from the filtered lines kept here.
+        data = _parsed(path, dtype, width, skiprows=1) if os.path.isfile(path) else None
+        if data is not None:
+            return data
+        numbered = [first, *numbered]
+    data = _parsed([row for _, row in numbered], dtype, width)
+    if data is not None:
+        return data
 
     # Some row is bad: halve the rows until the first bad one is left.
-    with open(path) as fh:
-        numbered = [(no, row) for no, row in enumerate(fh, start=1) if no > 1 and not row.isspace()]
     lo, hi = 0, len(numbered)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        try:
-            good = np.loadtxt([row for _, row in numbered[lo:mid]], dtype=dtype, **_LOADTXT).shape[1] == width
-        except ValueError:
-            good = False
+        good = _parsed([row for _, row in numbered[lo:mid]], dtype, width) is not None
         lo, hi = (mid, hi) if good else (lo, mid)
     lineno, row = numbered[lo]
     got = len(next(csv.reader([row])))

@@ -185,6 +185,26 @@ class TestFitCommand:
         assert code == 2
         assert f"edges.csv:{len(lines)}: non-integer node id" in capsys.readouterr().err
 
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_input_exits_2_asking_for_a_regular_file(self, tmp_path, capsys):
+        # the digest is taken before the read, and a pipe can be read once
+        r, w = os.pipe()
+        os.write(w, (TOY / "covariates.csv").read_bytes())
+        os.close(w)
+        try:
+            code = run(
+                "fit", "--family", "gaussian",
+                "--edges", str(TOY / "edges.csv"),
+                "--covariates", f"/dev/fd/{r}",
+                "--response", str(TOY / "response.csv"),
+                "--K", "2", "--out", str(tmp_path / "o.json"),
+            )
+        finally:
+            os.close(r)
+        assert code == 2
+        assert f"/dev/fd/{r}: not a regular file" in capsys.readouterr().err
+        assert not (tmp_path / "o.json").exists()
+
     def test_cox_fit_from_files(self, tmp_path):
         rng = np.random.default_rng(0)
         n = 40

@@ -5,6 +5,7 @@ from scipy import stats
 from npr.cox import SurvivalData, _RiskSetEngine, fit_cox, predict_relative_risk, simulate_cox_data
 from npr.design import PropagatedDesign, build_design, forward_select
 from npr.graph import DirectedGraph, gen_erdos_renyi, row_normalize
+from npr._newton import newton_fields, newton_maximize
 
 
 def empty_operator(n):
@@ -35,6 +36,40 @@ def naive_breslow(beta, X, time, event):
         u = s1 / s0
         info += s2 / s0 - np.outer(u, u)
     return ll, score, info
+
+
+def reference_breslow(beta, X, time, event):
+    """The engine's first evaluation, kept as the bitwise reference: one
+    C-ordered sorted copy, tie-group sums by ``np.add.reduceat`` and fresh
+    temporaries throughout.  Returns ``(loglik, score, info)`` as
+    ``loglik_score_info`` computes them, and the value ``loglik`` gives."""
+    order = np.argsort(-time, kind="stable")
+    X = X[order]
+    event = event[order].astype(bool)
+    t = time[order]
+    starts = np.concatenate([[0], np.flatnonzero(np.diff(t) != 0.0) + 1])
+    d_group = np.add.reduceat(event.astype(np.float64), starts)
+    eg = np.flatnonzero(d_group > 0)
+    eta = X @ beta
+    shift = eta.max()
+    w = np.exp(eta - shift)
+    wX = X * w[:, None]
+    s0 = np.cumsum(np.add.reduceat(w, starts))
+    s1 = np.add.reduceat(wX, starts, axis=0)
+    np.add.accumulate(s1, axis=0, out=s1)
+    d = d_group[eg]
+    s0_e = s0[eg]
+    u = s1[eg] / s0_e[:, None]
+    ll = float(eta[event].sum() - d @ (np.log(s0_e) + shift))
+    score = X[event].sum(axis=0) - d @ u
+    ratio = np.zeros(s0.shape[0])
+    ratio[eg] = d / s0_e
+    c_row = np.repeat(np.cumsum(ratio[::-1])[::-1], np.diff(np.append(starts, t.size)))
+    np.multiply(X, (w * c_row)[:, None], out=wX)
+    info = wX.T @ X - (u * d[:, None]).T @ u
+    ll_only = float(eta[event].sum())
+    ll_only -= float(d @ (np.log(s0_e) + shift))
+    return ll, score, info, ll_only
 
 
 def survival_instance(rng, n=60, d=2, ties=False):
@@ -141,6 +176,69 @@ class TestGroupSums:
         for shape in [(n,), (n, 5)]:
             a = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, size=shape)
             assert np.array_equal(engine.group_sums(a), np.add.reduceat(a, engine.starts, axis=0))
+
+
+class TestBitwiseReference:
+    """The engine's workspace, layouts and skipped group sums must leave
+    every bit of the evaluation as :func:`reference_breslow` gives it."""
+
+    @staticmethod
+    def instance(rng, n, p, kind):
+        # F-ordered, as fit_inputs gathers the selected columns
+        X = np.asfortranarray(rng.standard_normal((n, p)) * rng.uniform(0.1, 3.0, p))
+        time = rng.exponential(1.0, n)
+        event = (rng.random(n) < 0.6).astype(int)
+        if kind == "ties":
+            time = np.ceil(time * max(1, n // 200)) / max(1, n // 200)
+            assert np.unique(time, return_counts=True)[1].max() > 8
+        elif kind == "all events":
+            event[:] = 1
+        elif kind == "one event":
+            event[:] = 0
+            event[rng.integers(n)] = 1
+        return X, time, event
+
+    @pytest.mark.parametrize("kind", ["no ties", "ties", "all events", "one event"])
+    @pytest.mark.parametrize("n, p", [(60, 1), (5000, 1), (400, 7), (5000, 7), (1500, 90), (5000, 90)])
+    def test_evaluations_equal_the_reference(self, n, p, kind):
+        rng = np.random.default_rng([n, p, len(kind)])
+        X, time, event = self.instance(rng, n, p, kind)
+        engine = _RiskSetEngine(X, time, event)
+        for beta in (np.zeros(p), rng.normal(0.0, 0.5 / np.sqrt(p), p), rng.normal(0.0, 2.0 / np.sqrt(p), p)):
+            ll, score, info, ll_only = reference_breslow(beta, X, time, event)
+            got = engine.loglik_score_info(beta)
+            assert got[0] == ll
+            assert np.array_equal(got[1], score) and np.array_equal(got[2], info)
+            assert engine.loglik(beta) == ll_only
+
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_fit_equals_the_reference_newton_fit(self, ties):
+        # a glm-refit shaped design: d = 10, K = 8, 90 columns kept
+        rng = np.random.default_rng(21)
+        n = 4000
+        design = forward_select(
+            build_design(row_normalize(gen_erdos_renyi(n, rng)), rng.standard_normal((n, 10)), 8)
+        )
+        truth = np.zeros(len(design.selected))
+        truth[:20] = rng.normal(0.0, 0.3, 20)
+        surv = simulate_cox_data(design, truth, baseline_rate=0.5, censor_rate=0.3, seed=rng)
+        if ties:
+            surv = SurvivalData(time=np.ceil(surv.time * 20) / 20, event=surv.event)
+        fit = fit_cox(design, surv)
+
+        X = design.selected_matrix()
+        result = newton_maximize(
+            lambda b: reference_breslow(b, X, surv.time, surv.event)[:3],
+            np.zeros(X.shape[1]),
+            max_iter=100,
+            tol=1e-8,
+            loglik=lambda b: reference_breslow(b, X, surv.time, surv.event)[3],
+        )
+        beta, ll, newton = newton_fields(result, surv.n)
+        assert len(design.selected) == 90 and fit.converged
+        assert np.array_equal(fit.lambda_hat, beta) and fit.partial_loglik == ll
+        for name, value in newton.items():
+            assert np.array_equal(getattr(fit, name), value), name
 
 
 class TestFitCox:

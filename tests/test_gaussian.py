@@ -155,6 +155,40 @@ class TestQr:
             assert (a.rss, a.sigma2_hat) == (b.rss, b.sigma2_hat)
 
 
+class TestGatherLayout:
+    """The bits of ``X @ theta`` depend on the layout of X, not only on its
+    values: a C-ordered view of the selected columns gives other last bits
+    than the F-ordered copy.  The fits, the predictions and the golden
+    reports rest on the gathers returning F-ordered copies."""
+
+    def test_gathers_are_fortran_ordered_copies(self):
+        rng = np.random.default_rng(12)
+        n, d, K = 3000, 10, 8  # 90 columns, the benchmark designs' width
+        raw = build_design(row_normalize(gen_erdos_renyi(n, rng)), rng.standard_normal((n, d)), K)
+        selected = forward_select(raw)
+        fit = fit_ols(forward_select(center(raw)), rng.standard_normal(n))
+        assert len(fit.selected) == K * d + d
+        gathers = [
+            (selected.selected_matrix(), selected.matrix, selected.selected),
+            (fit.gather(raw), raw.matrix, fit.selected),
+        ]
+        for M, source, columns in gathers:
+            assert M.flags.f_contiguous and not M.flags.c_contiguous
+            assert not np.shares_memory(M, source)
+            assert np.array_equal(M, source[:, columns])
+
+    def test_predictions_are_products_on_the_fortran_copy(self):
+        rng = np.random.default_rng(13)
+        design, y, _ = fitted_random(rng, n=2000, d=10, K=8)
+        raw = build_design(
+            row_normalize(gen_erdos_renyi(2000, rng)), rng.standard_normal((2000, 10)), 8
+        )
+        fit = fit_ols(design, y)
+        M = np.asfortranarray(raw.matrix[:, fit.selected])
+        M -= fit.column_means
+        assert np.array_equal(predict(fit, raw), fit.y_mean + M @ fit.theta_hat)
+
+
 class TestTStatistics:
     def test_null_coefficient_rejection_rate(self):
         # under the null, |T| > 1.96 in about 5% of replicates

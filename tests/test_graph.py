@@ -339,3 +339,23 @@ def test_csv_reader_reads_a_pipe_once():
     finally:
         os.close(r)
     np.testing.assert_array_equal(got, [[1.5], [2.5]])
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        (b"x1\n1.5\nabc\n", ":3: non-numeric value"),
+        (b"x1\n1\n \n2\n2,3\n", ":5: expected 1 column, got 2"),
+    ],
+)
+def test_csv_reader_names_a_bad_row_of_a_pipe(text, expected):
+    # the bisect that finds the bad row works on the lines already read
+    r, w = os.pipe()
+    os.write(w, text)
+    os.close(w)
+    try:
+        with pytest.raises(ValueError, match=re.escape(f"/dev/fd/{r}{expected}")):
+            read_covariates(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
