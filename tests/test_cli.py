@@ -13,6 +13,7 @@ from npr.cli import main
 from npr.schemas import validate_report
 
 TOY = Path(__file__).parent / "data" / "toy"
+SIM = Path(__file__).parent / "data" / "sim"
 
 
 def run(*argv):
@@ -450,6 +451,26 @@ class TestSimulateCommands:
         payload = json.loads(out.read_text())
         assert payload["manifest"]["seed"] is not None
         assert payload["config"]["seed"] == payload["manifest"]["seed"]
+
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("simulate_case1_setting2", ["simulate", "--case", "1", "--setting", "2", "--n", "1000", "--seed", "1201"]),
+            ("simulate_case2_setting4", ["simulate", "--case", "2", "--setting", "4", "--n", "1000", "--seed", "1202"]),
+            ("simulate_case3_setting1", ["simulate", "--case", "3", "--setting", "1", "--n", "1000", "--seed", "1203"]),
+            ("simulate_test_case1", ["simulate-test", "--case", "1", "--nulls", "2", "--n", "3000", "--seed", "1211"]),
+            ("simulate_test_case2", ["simulate-test", "--case", "2", "--nulls", "3", "--n", "3000", "--seed", "1212"]),
+            ("simulate_test_case3", ["simulate-test", "--case", "3", "--nulls", "2", "--n", "3000", "--seed", "1213"]),
+        ],
+    )
+    def test_reproduces_golden_study(self, tmp_path, name, argv):
+        # reports and replicate rows of three replicates, pinned bit for bit
+        out, rows = tmp_path / "r.json", tmp_path / "r.csv"
+        assert run(*argv, "--reps", "3", "--out", str(out), "--csv", str(rows)) == 0
+        got = json.loads(out.read_text())
+        del got["manifest"]
+        assert got == json.loads((SIM / f"{name}.json").read_text())
+        assert rows.read_bytes() == (SIM / f"{name}.csv").read_bytes()
 
     def test_invalid_config_exits_2(self, tmp_path):
         assert run(

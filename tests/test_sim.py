@@ -168,6 +168,17 @@ class TestTestingStudy:
         b = run_test_study(cfg, n_nulls=2)
         assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
 
+    def test_parallel_matches_serial_at_scale(self, monkeypatch):
+        # n=3000 is large enough for OpenBLAS to thread the n x 90 products,
+        # so a thread count that changed the bits would show here
+        cfg = ScenarioConfig(case=1, setting=3, n=3000, reps=2, seed=41)
+        reports = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("NPR_THREADS", threads)
+            rep = run_test_study(cfg, n_nulls=2)
+            reports.append(json.dumps([rep.to_dict(), rep.replicates], sort_keys=True))
+        assert reports[0] == reports[1]
+
     def test_signal_orders_detected_at_scale(self):
         cfg = ScenarioConfig(case=1, setting=3, n=2000, reps=10, seed=4)
         rep = run_test_study(cfg, n_nulls=3)
