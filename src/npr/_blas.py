@@ -1,11 +1,21 @@
-"""Scipy's OpenBLAS on one thread for npr's small p x p solves.
+"""OpenBLAS thread counts pinned to one around npr's small products.
 
 numpy and scipy each bundle an OpenBLAS copy with its own thread pool, and
 an OpenBLAS worker keeps spinning for a while after a threaded call.  A
 threaded scipy call on a p x p matrix, where a second thread cannot help,
 so leaves a core busy while numpy's n-row products run, and the reverse.
 :func:`one_thread` runs a function with scipy's copy on one thread and then
-restores the count it found; numpy's copy is never touched.
+restores the count it found; numpy's copy is not touched.
+
+A simulation replicate's n x 90 products are too small for two threads to
+pay on a small machine, and replicates run side by side in the study's
+process pool, so :func:`all_one_thread` pins both copies around each one.
+Logistic and cox fits, whose bits depend on numpy's thread count, are never
+run under it.
+
+Each copy has one pin, shared by both decorators: nested and concurrent
+calls, over all Python threads, nest on that copy's depth count, the first
+entry saves the count and the last exit restores it.
 """
 
 from __future__ import annotations
@@ -16,50 +26,86 @@ import glob
 import os
 import threading
 
+import numpy as np
 import scipy.linalg  # loads scipy's OpenBLAS, so the lookup finds that copy
 
-_lock = threading.Lock()
-_depth = 0  # decorated calls running, over all Python threads
-_saved = 0  # scipy's thread count before the outermost of them
+
+class _Copy:
+    """One loaded OpenBLAS copy's thread count and its shared pin."""
+
+    def __init__(self, lib, suffix: str):
+        self.get_threads = getattr(lib, "scipy_openblas_get_num_threads" + suffix)
+        self.get_threads.argtypes, self.get_threads.restype = [], ctypes.c_int
+        self.set_threads = getattr(lib, "scipy_openblas_set_num_threads" + suffix)
+        self.set_threads.argtypes, self.set_threads.restype = [ctypes.c_int], None
+        self._lock = threading.Lock()
+        self._depth = 0  # pinned calls running, over all Python threads
+        self._saved = 0  # the count before the outermost of them
+
+    def pin(self) -> None:
+        with self._lock:
+            if self._depth == 0:
+                self._saved = self.get_threads()
+                self.set_threads(1)
+            self._depth += 1
+
+    def unpin(self) -> None:
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0:
+                self.set_threads(self._saved)
 
 
-@functools.cache
-def _load():
-    """``(get_num_threads, set_num_threads)`` of scipy's OpenBLAS, or None
-    when scipy runs on another BLAS (MKL, Accelerate, a system library)."""
-    libs = os.path.join(os.path.dirname(os.path.dirname(scipy.__file__)), "scipy.libs")
+def _find(package, suffix: str) -> _Copy | None:
+    """The OpenBLAS copy bundled in ``<package>.libs``, or None when the
+    package runs on another BLAS (MKL, Accelerate, a system library)."""
+    root = os.path.dirname(os.path.dirname(package.__file__))
+    libs = os.path.join(root, package.__name__ + ".libs")
     for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*"))):
         try:
-            lib = ctypes.CDLL(path)  # the copy already loaded in this process
-            return lib.scipy_openblas_get_num_threads, lib.scipy_openblas_set_num_threads
+            return _Copy(ctypes.CDLL(path), suffix)  # the copy already loaded in this process
         except (OSError, AttributeError):
             continue
     return None
 
 
-def one_thread(func):
-    """Run ``func`` with scipy's OpenBLAS on one thread; the identity when
-    that library is not found.  Nested and concurrent calls share one pin:
-    the first entry saves the count, the last exit restores it."""
-    pins = _load()
-    if pins is None:
+@functools.cache
+def _load() -> _Copy | None:
+    """scipy's OpenBLAS copy (32-bit integer interface)."""
+    return _find(scipy, "")
+
+
+@functools.cache
+def _load_numpy() -> _Copy | None:
+    """numpy's OpenBLAS copy (64-bit integer interface, symbols suffixed ``64_``)."""
+    return _find(np, "64_")
+
+
+def _pinned(func, copies):
+    """``func`` run with each found copy in ``copies`` on one thread; the
+    identity when none is found."""
+    copies = [c for c in copies if c is not None]
+    if not copies:
         return func
-    get_threads, set_threads = pins
 
     @functools.wraps(func)
     def pinned(*args, **kwargs):
-        global _depth, _saved
-        with _lock:
-            if _depth == 0:
-                _saved = get_threads()
-                set_threads(1)
-            _depth += 1
+        for copy in copies:
+            copy.pin()
         try:
             return func(*args, **kwargs)
         finally:
-            with _lock:
-                _depth -= 1
-                if _depth == 0:
-                    set_threads(_saved)
+            for copy in reversed(copies):
+                copy.unpin()
 
     return pinned
+
+
+def one_thread(func):
+    """Run ``func`` with scipy's OpenBLAS on one thread."""
+    return _pinned(func, [_load()])
+
+
+def all_one_thread(func):
+    """Run ``func`` with numpy's and scipy's OpenBLAS on one thread."""
+    return _pinned(func, [_load_numpy(), _load()])

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import functools
 import hashlib
 import json
 import math
@@ -385,7 +386,10 @@ def cmd_eval_auc(args) -> None:
     _write_report(report, args.out)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once: each ``parse_args`` call returns a new
+    namespace, so repeated ``main`` calls parse independently."""
     parser = argparse.ArgumentParser(
         prog="npr",
         description="Regression on network-linked data via propagated covariates",

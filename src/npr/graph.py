@@ -177,8 +177,14 @@ def _sample_distinct_codes(rng: np.random.Generator, total: int, count: int) -> 
     while codes.size < count:
         need = count - codes.size
         batch = rng.integers(0, total, size=int(need * 1.1) + 16)
-        codes = np.unique(np.concatenate([codes, batch]))
-    # np.unique sorts; keep a uniformly random subset of exactly `count`
+        codes = np.concatenate([codes, batch])
+        # np.unique's result, without its hash pass: sort, drop repeats
+        codes.sort()
+        first = np.empty(codes.size, dtype=bool)
+        first[0] = True
+        np.not_equal(codes[1:], codes[:-1], out=first[1:])
+        codes = codes[first]
+    # keep a uniformly random subset of exactly `count`
     return codes[rng.permutation(codes.size)[:count]]
 
 
@@ -278,13 +284,11 @@ def gen_powerlaw(n: int, seed) -> DirectedGraph:
         raise ValueError("n must be at least 2")
     rng = _as_rng(seed)
     in_degrees = sample_powerlaw_degrees(n, n, rng)
-    chunks = []
-    for i in range(n):
-        m = int(in_degrees[i])
-        followers = rng.choice(n - 1, size=m, replace=False)
-        followers = np.where(followers < i, followers, followers + 1)
-        chunks.append(np.column_stack([followers, np.full(m, i, dtype=np.int64)]))
-    return DirectedGraph(n_nodes=n, edges=np.concatenate(chunks))
+    # node i's followers are drawn from the n-1 other nodes, in node order
+    src = np.concatenate([rng.choice(n - 1, size=int(m), replace=False) for m in in_degrees])
+    dst = np.repeat(np.arange(n), in_degrees)
+    src += src >= dst
+    return DirectedGraph(n_nodes=n, edges=np.column_stack([src, dst]))
 
 
 _LOADTXT = {"delimiter": ",", "comments": None, "quotechar": '"', "ndmin": 2}

@@ -16,6 +16,8 @@ and confidence-interval coverage (CP).
 Every replicate draws from its own child of the master seed, so results
 are independent of execution order and identical under serial or parallel
 execution; the ``NPR_THREADS`` environment variable caps worker processes.
+Each replicate runs with both OpenBLAS copies on one thread, serially and
+in a worker alike (see ``_blas``).
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import baselines
+from ._blas import all_one_thread
 from .baselines import (
     Lim2Params,
     LimParams,
@@ -338,6 +341,7 @@ def _prediction_replicate(cfg: ScenarioConfig, seed: np.random.SeedSequence) -> 
     }
 
 
+@all_one_thread
 def _prediction_worker(args):
     return _prediction_replicate(*args)
 
@@ -378,6 +382,7 @@ def _test_replicate(cfg: ScenarioConfig, n_nulls: int, seed: np.random.SeedSeque
     }
 
 
+@all_one_thread
 def _test_worker(args):
     return _test_replicate(*args)
 

@@ -1,11 +1,9 @@
-"""scipy's OpenBLAS runs npr's p x p solves on one thread and is restored
-afterwards; the pin changes no bit of any fit and never touches numpy's
-OpenBLAS copy."""
+"""OpenBLAS thread pins: scipy's copy runs npr's p x p solves on one thread,
+and both copies run each simulation replicate on one thread.  Every pin
+restores the counts it found, and changes no bit of any fit."""
 
-import ctypes
-import glob
 import json
-import os
+import sys
 import threading
 
 import numpy as np
@@ -15,41 +13,36 @@ from scipy.special import expit
 import npr._blas as blas
 import npr._newton as newton
 import npr.gaussian as gaussian
+import npr.sim as sim
 from npr.cox import SurvivalData, fit_cox
 from npr.design import build_design, center, forward_select
 from npr.exceptions import SingularMatrixError
 from npr.graph import gen_erdos_renyi, row_normalize
 from npr.logistic import fit_logistic
+from npr.sim import ScenarioConfig, run_test_study
 
-PINS = blas._load()
-pytestmark = pytest.mark.skipif(PINS is None, reason="scipy does not run on its bundled OpenBLAS")
-
-
-def _numpy_threads():
-    """numpy's OpenBLAS thread count getter; it gives None on another BLAS."""
-    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
-    for path in glob.glob(os.path.join(libs, "libscipy_openblas*")):
-        try:
-            return ctypes.CDLL(path).scipy_openblas_get_num_threads64_
-        except (OSError, AttributeError):
-            continue
-    return lambda: None
+SCIPY = blas._load()
+NUMPY = blas._load_numpy()
+pytestmark = pytest.mark.skipif(
+    SCIPY is None or NUMPY is None, reason="numpy or scipy does not run on its bundled OpenBLAS"
+)
 
 
-NUMPY_THREADS = _numpy_threads()
+def _counts():
+    """(numpy's, scipy's) OpenBLAS thread counts."""
+    return NUMPY.get_threads(), SCIPY.get_threads()
 
 
 @pytest.fixture
 def two_threads():
-    """scipy's count set to 2 for the test, restored afterwards."""
-    get_threads, set_threads = PINS
-    before = get_threads()
-    set_threads(2)
-    numpy_before = NUMPY_THREADS()
-    yield get_threads
-    assert get_threads() == 2
-    assert NUMPY_THREADS() == numpy_before
-    set_threads(before)
+    """Both counts set to 2 for the test; the test must leave them there."""
+    before = _counts()
+    NUMPY.set_threads(2)
+    SCIPY.set_threads(2)
+    yield _counts
+    assert _counts() == (2, 2)
+    NUMPY.set_threads(before[0])
+    SCIPY.set_threads(before[1])
 
 
 @pytest.fixture(scope="module")
@@ -98,9 +91,9 @@ def test_pinned_fits_match_unpinned_bitwise(two_threads, designs, monkeypatch):
 
 def test_count_is_one_inside_and_restored_after_return(two_threads):
     seen = []
-    probe = blas.one_thread(lambda: seen.append((two_threads(), NUMPY_THREADS())))
+    probe = blas.one_thread(lambda: seen.append(two_threads()))
     probe()
-    assert seen == [(1, NUMPY_THREADS())]
+    assert seen == [(2, 1)]
 
 
 def test_count_restored_after_raise(two_threads):
@@ -110,12 +103,12 @@ def test_count_restored_after_raise(two_threads):
 
 def test_nested_calls_keep_the_pin_until_the_outermost_exit(two_threads):
     seen = []
-    inner = blas.one_thread(lambda: seen.append(two_threads()))
+    inner = blas.one_thread(lambda: seen.append(two_threads()[1]))
 
     @blas.one_thread
     def outer():
         inner()
-        seen.append(two_threads())
+        seen.append(two_threads()[1])
 
     outer()
     assert seen == [1, 1]
@@ -141,13 +134,86 @@ def test_concurrent_threads_restore_the_count(two_threads, designs):
     for t in threads:
         t.join()
     assert not errors
-    assert blas._depth == 0
+    assert SCIPY._depth == 0
 
 
 def test_decorator_is_the_identity_without_the_library(monkeypatch):
     monkeypatch.setattr(blas, "_load", lambda: None)
+    monkeypatch.setattr(blas, "_load_numpy", lambda: None)
 
     def f():
         return 1
 
     assert blas.one_thread(f) is f
+    assert blas.all_one_thread(f) is f
+
+
+def _counts_in_replicate(*args):
+    return _counts()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"], ids=["serial", "pool"])
+@pytest.mark.parametrize(
+    "worker, replicate",
+    [("_prediction_worker", "_prediction_replicate"), ("_test_worker", "_test_replicate")],
+)
+def test_both_counts_are_one_inside_a_replicate(two_threads, monkeypatch, threads, worker, replicate):
+    # a forked pool worker inherits the patched replicate and returns its counts
+    monkeypatch.setenv("NPR_THREADS", threads)
+    monkeypatch.setattr(sim, replicate, _counts_in_replicate)
+    assert sim._run_parallel(getattr(sim, worker), [()] * 4) == [(1, 1)] * 4
+
+
+def test_counts_restored_after_a_study(two_threads):
+    run_test_study(ScenarioConfig(case=1, setting=3, n=200, reps=2, seed=3), n_nulls=2)
+
+
+def test_counts_restored_after_a_study_raises(two_threads, monkeypatch):
+    def fail(*args):
+        raise FloatingPointError("replicate failed")
+
+    monkeypatch.setenv("NPR_THREADS", "1")
+    monkeypatch.setattr(sim, "_test_replicate", fail)
+    with pytest.raises(FloatingPointError):
+        run_test_study(ScenarioConfig(case=1, setting=3, n=200, reps=2, seed=3), n_nulls=2)
+
+
+def test_one_thread_nested_in_the_study_pin_from_two_threads(two_threads):
+    seen, errors = set(), []
+    solve = blas.one_thread(lambda: seen.add(("solve", two_threads()[1])))
+
+    @blas.all_one_thread
+    def replicate():
+        for _ in range(50):
+            solve()
+            seen.add(("replicate", two_threads()))
+
+    def work(fn):
+        try:
+            for _ in range(50):
+                fn()
+        except Exception as exc:  # pragma: no cover - surfaced below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(fn,)) for fn in (replicate, solve)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert seen == {("solve", 1), ("replicate", (1, 1))}
+    assert SCIPY._depth == NUMPY._depth == 0
+
+
+def test_glm_fits_after_a_study_match_those_before(two_threads, designs):
+    _, raw, _, label, surv = designs
+    logit, cox = _arrays(fit_logistic(raw, label)), _arrays(fit_cox(raw, surv))
+    run_test_study(ScenarioConfig(case=1, setting=3, n=3000, reps=1, seed=5), n_nulls=2)
+    _same_bits(_arrays(fit_logistic(raw, label)), logit)
+    _same_bits(_arrays(fit_cox(raw, surv)), cox)

@@ -479,6 +479,26 @@ class TestSimulateCommands:
         ) == 2
 
 
+class TestMain:
+    def test_calls_in_a_row_parse_independently(self, tmp_path):
+        # the parser is built once; no flag of one call leaks into the next
+        from npr.cli import build_parser
+
+        assert build_parser() is build_parser()
+        fit = ["fit", "--family", "gaussian", "--edges", str(TOY / "edges.csv"),
+               "--covariates", str(TOY / "covariates.csv"), "--response", str(TOY / "response.csv")]
+        outs = [tmp_path / f"{i}.json" for i in range(3)]
+        assert run(*fit, "--K", "2", "--tol", "1e-6", "--out", str(outs[0])) == 0
+        assert run("simulate", "--case", "1", "--setting", "1", "--n", "150", "--reps", "2",
+                   "--seed", "3", "--out", str(outs[1])) == 0
+        assert run(*fit, "--out", str(outs[2])) == 0
+        args = [json.loads(out.read_text())["manifest"]["arguments"] for out in outs]
+        assert (args[0]["K"], args[0]["tol"]) == (2, 1e-6)
+        assert args[1]["command"] == "simulate" and "family" not in args[1] and "K" not in args[1]
+        assert (args[2]["K"], args[2]["tol"]) == (8, 1e-8)
+        assert not {"case", "setting", "reps", "seed"} & set(args[2])
+
+
 class TestEvalAuc:
     def test_auc_eval_round_trip(self, tmp_path):
         rng = np.random.default_rng(4)

@@ -8,6 +8,7 @@ import pytest
 from npr.design import read_covariates
 from npr.graph import (
     DirectedGraph,
+    _sample_distinct_codes,
     gen_erdos_renyi,
     gen_powerlaw,
     gen_sbm,
@@ -178,6 +179,22 @@ class TestErdosRenyi:
         g = gen_erdos_renyi(2, 7)
         assert g.n_nodes == 2
 
+    @pytest.mark.parametrize("total, count", [(40, 30), (500, 480), (3000 * 2999, 15_000)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_distinct_codes_equal_the_np_unique_reference(self, total, count, seed):
+        # dense cases draw many repeats and take several batches
+        def reference(rng, total, count):
+            codes = np.empty(0, dtype=np.int64)
+            while codes.size < count:
+                need = count - codes.size
+                batch = rng.integers(0, total, size=int(need * 1.1) + 16)
+                codes = np.unique(np.concatenate([codes, batch]))
+            return codes[rng.permutation(codes.size)[:count]]
+
+        got = _sample_distinct_codes(np.random.default_rng(seed), total, count)
+        want = reference(np.random.default_rng(seed), total, count)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
     def test_mean_edge_count(self):
         # binomial moments: 50 draws at n=1000, p = n^-0.8
         n, draws = 1000, 50
@@ -247,6 +264,23 @@ class TestPowerlaw:
         expected = sample_powerlaw_degrees(n, n, rng)
         in_deg = np.bincount(g.edges[:, 1], minlength=n)
         assert np.array_equal(in_deg, expected)
+
+    @pytest.mark.parametrize("n", [2, 30, 1000])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_edges_equal_the_per_node_loop(self, n, seed):
+        def reference(n, rng):
+            in_degrees = sample_powerlaw_degrees(n, n, rng)
+            chunks = []
+            for i in range(n):
+                m = int(in_degrees[i])
+                followers = rng.choice(n - 1, size=m, replace=False)
+                followers = np.where(followers < i, followers, followers + 1)
+                chunks.append(np.column_stack([followers, np.full(m, i, dtype=np.int64)]))
+            return np.concatenate(chunks)
+
+        got = gen_powerlaw(n, np.random.default_rng(seed)).edges
+        want = reference(n, np.random.default_rng(seed))
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_implied_density(self):
         # the truncated discrete law fixes the expected density; at n=1000
