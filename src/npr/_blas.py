@@ -1,21 +1,16 @@
 """OpenBLAS thread counts pinned to one around npr's small products.
 
 numpy and scipy each bundle an OpenBLAS copy with its own thread pool, and
-an OpenBLAS worker keeps spinning for a while after a threaded call.  A
-threaded scipy call on a p x p matrix, where a second thread cannot help,
-so leaves a core busy while numpy's n-row products run, and the reverse.
-:func:`one_thread` runs a function with scipy's copy on one thread and then
-restores the count it found; numpy's copy is not touched.
+an OpenBLAS worker keeps spinning for a while after a threaded call, so
+threads that cannot help still hold a core.  :func:`one_thread` runs npr's
+p x p scipy solves with scipy's copy on one thread.  :func:`all_one_thread`
+runs each simulation replicate, whose n x 90 products are too small for two
+threads to pay, with both copies on one thread; logistic and cox fits, whose
+bits depend on numpy's thread count, never run under it.
 
-A simulation replicate's n x 90 products are too small for two threads to
-pay on a small machine, and replicates run side by side in the study's
-process pool, so :func:`all_one_thread` pins both copies around each one.
-Logistic and cox fits, whose bits depend on numpy's thread count, are never
-run under it.
-
-Each copy has one pin, shared by both decorators: nested and concurrent
-calls, over all Python threads, nest on that copy's depth count, the first
-entry saves the count and the last exit restores it.
+Each copy has one pin, shared by both decorators: over nested and concurrent
+calls from all Python threads, the first entry saves the copy's count and the
+last exit restores it.
 """
 
 from __future__ import annotations

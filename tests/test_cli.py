@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import npr
-from npr.cli import main
+from npr.cli import build_parser, main
 from npr.schemas import validate_report
 
 TOY = Path(__file__).parent / "data" / "toy"
@@ -482,8 +482,6 @@ class TestSimulateCommands:
 class TestMain:
     def test_calls_in_a_row_parse_independently(self, tmp_path):
         # the parser is built once; no flag of one call leaks into the next
-        from npr.cli import build_parser
-
         assert build_parser() is build_parser()
         fit = ["fit", "--family", "gaussian", "--edges", str(TOY / "edges.csv"),
                "--covariates", str(TOY / "covariates.csv"), "--response", str(TOY / "response.csv")]
