@@ -45,6 +45,7 @@ from .schemas import validate_report
 from .sim import ScenarioConfig, row_splits, run_prediction_study, run_test_study
 
 DEFAULT_TOL = 1e-8
+_FAMILIES = ("gaussian", "logistic", "cox")
 DETERMINISTIC_SEED_HELP = (
     "recorded in the report's manifest only; this command draws no random "
     "numbers, so its output is the same for every seed"
@@ -202,7 +203,12 @@ def cmd_fit(args) -> None:
 def _fit_from_json(path) -> dict:
     with open(path) as fh:
         payload = json.load(fh)
-    if payload.get("kind") != "fit":
+    if not (
+        isinstance(payload, dict)
+        and payload.get("kind") == "fit"
+        and payload.get("family") in _FAMILIES
+        and isinstance(payload.get(payload["family"]), dict)
+    ):
         raise ValueError(f"{path}: not a fit report")
     return payload
 
@@ -386,6 +392,17 @@ def cmd_eval_auc(args) -> None:
     _write_report(report, args.out)
 
 
+def _positive_float(text: str) -> float:
+    """An argparse type: a finite float above zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {text!r}")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once: each ``parse_args`` call returns a new
@@ -397,14 +414,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_fit = sub.add_parser("fit", help="fit a model from CSV inputs")
-    p_fit.add_argument("--family", required=True, choices=["gaussian", "logistic", "cox"])
+    p_fit.add_argument("--family", required=True, choices=_FAMILIES)
     p_fit.add_argument("--edges", required=True)
     p_fit.add_argument("--covariates", required=True)
     p_fit.add_argument("--response")
     p_fit.add_argument("--time")
     p_fit.add_argument("--event")
     p_fit.add_argument("--K", type=int, default=8)
-    p_fit.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p_fit.add_argument("--tol", type=_positive_float, default=DEFAULT_TOL)
     p_fit.add_argument("--seed", type=int, help=DETERMINISTIC_SEED_HELP)
     p_fit.add_argument("--out", required=True)
     p_fit.set_defaults(func=cmd_fit)

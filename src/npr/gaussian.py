@@ -58,19 +58,18 @@ class GaussianFit(FitRecord):
         return np.asarray([self.provenance[c][0] for c in self.selected])
 
 
-def _qr(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced QR of a tall ``X``, bitwise equal to ``np.linalg.qr(X)``.
+def _qr(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced QR of a tall ``A``, bitwise equal to ``np.linalg.qr(A)``.
 
     The same ``dgeqrf`` then ``dorgqr`` from numpy's own LAPACK binding,
-    with the same workspace sizes, but on one Fortran-ordered copy of ``X``
-    overwritten in place: ``np.linalg.qr`` also copies that copy in and out
-    of its LAPACK buffers.  ``lapack_lite`` takes C-ordered arrays, so each
-    routine gets the copy's transpose, which is a view of the same memory.
-    Q comes back C-ordered, as from ``np.linalg.qr``; the bits of the
-    products taken with it depend on that layout.
+    with the same workspace sizes, but run in place on ``A``, which must be
+    a Fortran-ordered float64 array that the caller gives up: its contents
+    are overwritten.  ``lapack_lite`` takes C-ordered arrays, so each
+    routine gets ``A.T``, a view of the same memory; it refuses any other
+    layout or dtype.  Q comes back C-ordered, as from ``np.linalg.qr``; the
+    bits of the products taken with it depend on that layout.
     """
-    m, p = X.shape
-    A = np.array(X, dtype=np.float64, order="F")
+    m, p = A.shape
     tau = np.empty(p)
 
     def call(routine, *dims):
@@ -108,14 +107,20 @@ def fit_ols(design: PropagatedDesign, y: np.ndarray) -> GaussianFit:
     y_mean = float(y.mean())
     yc = y - y_mean
 
+    # the gather is a fresh F-ordered copy, factored in place and dropped
+    # with Q before the columns are gathered again: at most three n x p
+    # arrays are held at once, the caller's design, the gather and Q
     Q, R = _qr(X)
+    del X
     rdiag = np.abs(np.diag(R))
     if rdiag.min() <= 1e-12 * max(rdiag.max(), 1.0):
         raise SingularMatrixError(
             "selected design is numerically singular; forward selection should prevent this"
         )
     theta = sla.solve_triangular(R, Q.T @ yc)
-    resid = yc - X @ theta
+    del Q
+    # the same F-ordered columns again: the product's bits depend on the layout
+    resid = yc - design.selected_matrix() @ theta
     rss = float(resid @ resid)
     # an exact fit leaves only rounding residue; snap it to zero so the
     # zero-variance edge case is reported as such downstream

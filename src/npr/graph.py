@@ -21,18 +21,19 @@ from scipy import sparse
 MAX_NODES = 3_037_000_499
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DirectedGraph:
     """A simple directed graph on nodes ``0..n_nodes-1``.
 
     Self-loops and duplicate edges are rejected at construction time.
+    Graphs compare and hash by identity, as their edge arrays cannot.
     """
 
     n_nodes: int
     edges: np.ndarray  # shape (m, 2) int64, rows are (source, target)
     # the sorted edge codes src*n + dst of the duplicate check, which
     # row_normalize reads as CSR order
-    _codes: np.ndarray = field(init=False, repr=False, compare=False)
+    _codes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.n_nodes < 1:

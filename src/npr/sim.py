@@ -387,8 +387,20 @@ def _test_worker(args):
     return _test_replicate(*args)
 
 
+def _worker_count() -> int:
+    """The ``NPR_THREADS`` cap on worker processes, 1 when it is unset."""
+    raw = os.environ.get("NPR_THREADS", "1")
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ValueError(f"NPR_THREADS must be an integer >= 1, got {raw!r}")
+    return threads
+
+
 def _run_parallel(worker, tasks):
-    threads = int(os.environ.get("NPR_THREADS", "1"))
+    threads = _worker_count()
     if threads > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=threads) as ex:
             return list(ex.map(worker, tasks, chunksize=max(1, len(tasks) // (4 * threads))))

@@ -100,6 +100,21 @@ class TestFitCommand:
         assert "nope.csv" in capsys.readouterr().err
         assert not (tmp_path / "o.out").exists()
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-8", "abc"])
+    def test_tol_must_be_finite_and_positive(self, tmp_path, capsys, tol):
+        out = tmp_path / "fit.json"
+        with pytest.raises(SystemExit) as exc:
+            run(
+                "fit", "--family", "gaussian",
+                "--edges", str(TOY / "edges.csv"),
+                "--covariates", str(TOY / "covariates.csv"),
+                "--response", str(TOY / "response.csv"),
+                "--K", "2", f"--tol={tol}", "--out", str(out),
+            )
+        assert exc.value.code == 2
+        assert f"argument --tol: must be a finite number above 0, got {tol!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_k_zero_matches_classical_regression(self, tmp_path):
         out = tmp_path / "fit0.json"
         assert run(
@@ -472,6 +487,21 @@ class TestSimulateCommands:
         assert got == json.loads((SIM / f"{name}.json").read_text())
         assert rows.read_bytes() == (SIM / f"{name}.csv").read_bytes()
 
+    @pytest.mark.parametrize("threads", ["abc", "0", "-3", ""])
+    def test_bad_thread_count_exits_2_naming_the_variable(self, tmp_path, capsys, monkeypatch, threads):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(npr.sim, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setenv("NPR_THREADS", threads)
+        out = tmp_path / "r.json"
+        assert run(
+            "simulate", "--case", "1", "--setting", "1", "--n", "50",
+            "--reps", "2", "--seed", "1", "--out", str(out),
+        ) == 2
+        assert f"NPR_THREADS must be an integer >= 1, got {threads!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_config_exits_2(self, tmp_path):
         assert run(
             "simulate", "--case", "1", "--setting", "4", "--n", "150",
@@ -480,6 +510,28 @@ class TestSimulateCommands:
 
 
 class TestMain:
+    @pytest.mark.parametrize("command", ["test", "predict"])
+    @pytest.mark.parametrize(
+        "payload",
+        [[1, 2], "fit", {"kind": "fit"}, {"kind": "fit", "family": "gaussian"}, {"kind": "fit", "family": "probit", "probit": {}}],
+        ids=["list", "string", "no family", "no family block", "unknown family"],
+    )
+    def test_fit_file_of_the_wrong_shape_exits_2(self, tmp_path, capsys, command, payload):
+        fit = tmp_path / "fit.json"
+        if isinstance(payload, dict):  # a golden fit with keys taken away or changed
+            golden = json.loads((TOY / "golden_fit.json").read_text())
+            payload = {**{k: v for k, v in golden.items() if k not in ("family", "gaussian")}, **payload}
+        fit.write_text(json.dumps(payload))
+        inputs = {
+            "test": ["--kmax", "1"],
+            "predict": ["--edges", str(TOY / "edges.csv"), "--covariates", str(TOY / "covariates.csv")],
+        }[command]
+        out = tmp_path / "o.out"
+        assert run(command, "--fit", str(fit), *inputs, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {fit}: not a fit report\n"
+        assert "Traceback" not in err and not out.exists()
+
     def test_calls_in_a_row_parse_independently(self, tmp_path):
         # the parser is built once; no flag of one call leaks into the next
         assert build_parser() is build_parser()

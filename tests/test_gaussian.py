@@ -1,9 +1,11 @@
 import math
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.linalg import lapack_lite
 from scipy import stats
 
 from npr import gaussian
@@ -105,14 +107,43 @@ class TestFitOls:
         assert np.abs(predict(fit, raw) - fitted).max() < 1e-12
 
     def test_fit_and_predict_leave_the_designs_unchanged(self):
+        # fit_ols factors its gather in place: whatever the layout of the
+        # caller's matrix and whichever columns are selected, the gather
+        # must be a copy
         rng = np.random.default_rng(5)
         raw = build_design(row_normalize(gen_erdos_renyi(300, rng)), rng.standard_normal((300, 3)), 3)
         design = forward_select(center(raw))
-        before, raw_before = design.matrix.copy(), raw.matrix.copy()
-        fit = fit_ols(design, rng.standard_normal(300))
-        predict(fit, raw)
-        assert np.array_equal(design.matrix, before)
-        assert np.array_equal(raw.matrix, raw_before)
+        fortran = replace(design, matrix=np.asfortranarray(design.matrix))
+        raw_fortran = replace(raw, matrix=np.asfortranarray(raw.matrix))
+        subset = replace(design, selected=design.selected[::2])
+        for fitted, new in ((design, raw), (fortran, raw_fortran), (subset, raw)):
+            before, new_before = fitted.matrix.copy(), new.matrix.copy()
+            fit = fit_ols(fitted, rng.standard_normal(300))
+            predict(fit, new)
+            assert np.array_equal(fitted.matrix, before)
+            assert np.array_equal(new.matrix, new_before)
+
+    def test_holds_at_most_three_design_copies(self):
+        # fit_ols's own arrays: the gather, factored in place, and the
+        # C-ordered Q read 2.0 n*p*8 bytes; one more copy of the gather
+        # (inside _qr, or kept for the residual next to Q) reads 3.0
+        rng = np.random.default_rng(9)
+        n, p = 20000, 90
+        M = rng.standard_normal((n, p))
+        design = PropagatedDesign(
+            matrix=M - M.mean(axis=0),
+            provenance=[(0, j) for j in range(p)],
+            selected=list(range(p)),
+            centered=True,
+        )
+        y = rng.standard_normal(n)
+        tracemalloc.start()
+        try:
+            fit_ols(design, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * n * p * 8
 
 
 class TestQr:
@@ -130,14 +161,24 @@ class TestQr:
     def test_matches_numpy_qr_bitwise(self, m, p):
         rng = np.random.default_rng([m, p])
         X = rng.standard_normal((m, p)) * rng.uniform(1e-3, 1e3, p)
+        A = np.array(X, order="F")
+        Q, R = _qr(A)
         for layout in (X, np.asfortranarray(X)):
-            before = layout.copy()
-            Q, R = _qr(layout)
             Q0, R0 = np.linalg.qr(layout)
-            assert np.array_equal(layout, before)
             assert np.array_equal(Q, Q0) and np.array_equal(R, R0)
-            # the products fit_ols takes with Q depend on its layout
-            assert Q.flags.c_contiguous and R.flags.c_contiguous
+        # the products fit_ols takes with Q depend on its layout
+        assert Q.flags.c_contiguous and R.flags.c_contiguous
+        # the input was consumed: it holds Q now, not X
+        assert np.array_equal(A, Q) and not np.array_equal(A, X)
+
+    @pytest.mark.parametrize("layout", ["C", "float32"])
+    def test_refuses_what_it_cannot_factor_in_place(self, layout):
+        X = np.random.default_rng(8).standard_normal((40, 5))
+        A = X.copy() if layout == "C" else np.asfortranarray(X, dtype=np.float32)
+        before = A.copy()
+        with pytest.raises(lapack_lite.LapackError):
+            _qr(A)
+        assert np.array_equal(A, before)
 
     def test_fits_equal_the_numpy_qr_fits(self, monkeypatch):
         fits = []

@@ -50,6 +50,13 @@ class TestDirectedGraph:
         with pytest.raises(ValueError, match="duplicate"):
             DirectedGraph(n_nodes=n, edges=[(n - 1, n - 2), (n - 1, n - 2)])
 
+    def test_equality_is_identity_and_graphs_hash(self):
+        g = DirectedGraph(3, [[0, 1], [2, 1]])
+        twin = DirectedGraph(3, [[0, 1], [2, 1]])
+        assert g == g and g != twin
+        assert hash(g) != hash(twin)
+        assert {g: 1, twin: 2}[g] == 1
+
     def test_summary(self):
         g = DirectedGraph(n_nodes=4, edges=[(0, 1), (1, 2), (2, 3)])
         s = g.summary()
