@@ -46,6 +46,13 @@ from .sim import ScenarioConfig, row_splits, run_prediction_study, run_test_stud
 
 DEFAULT_TOL = 1e-8
 _FAMILIES = ("gaussian", "logistic", "cox")
+# the fit report keys that test, predict and eval-auc read
+_FIT_KEYS = ("K", "d", "n", "tol", "selected_columns", "coefficients")
+_FIT_BLOCK_KEYS = {
+    "gaussian": ("rss", "sigma2_hat", "gram", "gram_inverse", "column_means", "y_mean"),
+    "logistic": ("intercept", "intercept_std_error", "log_likelihood", "iterations", "converged"),
+    "cox": ("partial_loglik", "iterations", "converged"),
+}
 DETERMINISTIC_SEED_HELP = (
     "recorded in the report's manifest only; this command draws no random "
     "numbers, so its output is the same for every seed"
@@ -210,6 +217,13 @@ def _fit_from_json(path) -> dict:
         and isinstance(payload.get(payload["family"]), dict)
     ):
         raise ValueError(f"{path}: not a fit report")
+    # only the keys that are read are checked: a full schema validation
+    # costs far more than the read itself at large n
+    family = payload["family"]
+    missing = [key for key in _FIT_KEYS if key not in payload]
+    missing += [f"{family}.{key}" for key in _FIT_BLOCK_KEYS[family] if key not in payload[family]]
+    if missing:
+        raise ValueError(f"{path}: not a fit report (missing '{missing[0]}')")
     return payload
 
 

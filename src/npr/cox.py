@@ -10,17 +10,16 @@ more rows go through ``np.add.reduceat`` (a singleton group's sum is its
 row).  The partial likelihood depends on the times only through their ranks.
 
 Memory layout decides the last bits of a BLAS product, so each product
-keeps one layout.  The engine holds two sorted copies of the selected
-columns: a C-ordered one for ``X @ beta``, the event-row sums and the
-information product ``(X * w c)' X``, and an F-ordered one whose columns
-are contiguous, for the running sums of ``w X`` down each column (a
-cumulative sum adds in row order whatever the layout, so its bits do not
-change).  One n-by-d workspace per fit holds ``w X`` in its F view, then
-``X * w c`` in its C view, whose first rows then hold ``u * d``; that
-product needs its own buffer, since on the buffer of ``u`` itself numpy
-computes ``(u d)' u`` with a symmetric rank-k update instead of a general
-product, and the bits differ.  The risk-set means ``u`` are a C-ordered
-gather, as before.
+keeps one layout.  The engine holds one sorted, C-ordered copy of the
+selected columns, for ``X @ beta``, the event-row sums and the information
+product ``(X * w c)' X``.  One C-ordered n-by-d workspace per fit holds
+``w X`` and its running sums down each column, then ``X * w c``, whose
+first rows then hold ``u * d``; that product needs its own buffer, since
+on the buffer of ``u`` itself numpy computes ``(u d)' u`` with a
+symmetric rank-k update instead of a general product, and the bits
+differ.  The risk-set means ``u`` are a C-ordered gather.  An F-ordered
+copy would make each running sum one contiguous pass, but writing it
+costs more than the sums save, and holding it costs an n-by-d array.
 """
 
 from __future__ import annotations
@@ -82,7 +81,6 @@ class _RiskSetEngine:
         # descending time so the risk set of each event time is a prefix
         order = np.argsort(-time, kind="stable")
         self.X = X[order]
-        self.XF = np.asfortranarray(self.X)
         self.event = event[order].astype(bool)
         t_sorted = time[order]
         # group boundaries for tied times: starts[g]..ends[g]-1 share a time
@@ -134,17 +132,15 @@ class _RiskSetEngine:
         shift = eta.max()
         w = np.exp(eta - shift)
         s0 = np.cumsum(self.group_sums(w))
-        # w X in the workspace's F view: each column's running sum is then
-        # one contiguous pass
-        s1 = self.work.reshape(p, n).T
-        np.multiply(self.XF, w[:, None], out=s1)
+        s1 = self.work.reshape(n, p)
+        np.multiply(X, w[:, None], out=s1)
         s1 = self.group_sums(s1)
         np.add.accumulate(s1, axis=0, out=s1)
 
         eg = self.event_groups
         d = self.d_group[eg]
         s0_e = s0[eg]
-        u = s1[eg]  # C-ordered, and no longer in the workspace
+        u = s1[eg]  # no longer in the workspace
         u /= s0_e[:, None]  # risk-set mean covariate per event group
 
         ll = float(eta[self.event].sum() - d @ (np.log(s0_e) + shift))
@@ -182,7 +178,7 @@ def fit_cox(
         raise ValueError(f"survival data has {surv.n} rows, design has {design.n_rows}")
 
     engine = _RiskSetEngine(X, surv.time, surv.event)
-    del X  # the engine holds its own sorted copies
+    del X  # the engine holds its own sorted copy
 
     result = newton_maximize(
         engine.loglik_score_info,

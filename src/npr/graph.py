@@ -274,6 +274,101 @@ def sample_powerlaw_degrees(n: int, size: int, rng: np.random.Generator) -> np.n
     return np.minimum(degrees, n - 1)
 
 
+def _lemire(raw: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Values in ``0..bounds`` from uint32 draws ``raw`` by Lemire's
+    multiply-shift, as numpy's bounded integers make them.
+
+    The flag is False when numpy would have rejected some draw (the low
+    word of ``raw * (bound + 1)`` below ``2**32 mod (bound + 1)``) and
+    drawn again; the values are then not numpy's.  A bound of ``2**32`` or
+    more, which numpy draws from 64 bits, always reads as rejected.
+    """
+    span = bounds.astype(np.uint64) + np.uint64(1)
+    prod = raw.astype(np.uint64) * span
+    low = prod & np.uint64(0xFFFFFFFF)
+    rejected = low < np.uint64(1 << 32) % span
+    return (prod >> np.uint64(32)).astype(np.int64), not rejected.any()
+
+
+def _floyd_run(rng: np.random.Generator, N: int, sizes: np.ndarray) -> np.ndarray:
+    """``rng.choice(N, size=m, replace=False)`` for each m in ``sizes``,
+    concatenated, for sizes that numpy draws by Floyd's algorithm.
+
+    numpy draws ``t = bounded(j)`` for ``j = N-m .. N-1`` and keeps ``t``,
+    or ``j`` when ``t`` is already kept (Floyd's sampling); it then
+    shuffles the m values by Fisher-Yates, swapping position ``i`` with
+    ``bounded(i)`` for ``i = m-1 .. 1``.  ``bounded(b)`` takes one uint32
+    draw per try, and none when ``b = 0``, so the whole run's draws are
+    made in one call and decoded with ``_lemire``.  If numpy would have
+    rejected one, the generator goes back to where it was and the run is
+    drawn node by node.
+    """
+    state = rng.bit_generator.state
+    # one segment per node: its Floyd bounds N-m..N-1, then its shuffle
+    # bounds m-1..1
+    seg = 2 * sizes - 1
+    ends = np.cumsum(seg)
+    starts = ends - seg
+    node = np.repeat(np.arange(sizes.size), seg)
+    pos = np.arange(ends[-1]) - starts[node]
+    m = sizes[node]
+    floyd = pos < m
+    bounds = np.where(floyd, N - m + pos, 2 * m - 1 - pos)
+    drawn = bounds > 0
+    raw = rng.integers(0, 1 << 32, size=int(np.count_nonzero(drawn)), dtype=np.uint32)
+    values = np.zeros(bounds.size, dtype=np.int64)
+    values[drawn], ok = _lemire(raw, bounds[drawn])
+    if not ok:
+        rng.bit_generator.state = state
+        return np.concatenate([rng.choice(N, size=int(k), replace=False) for k in sizes])
+
+    picks = values[floyd]
+    base = np.cumsum(sizes) - sizes
+    # Floyd keeps every draw of a node unless two of them are equal; only
+    # such nodes take the "else j" rule, one value at a time
+    codes = np.sort(node[floyd] * (N + 1) + picks)
+    for k in np.unique(codes[1:][codes[1:] == codes[:-1]] // (N + 1)).tolist():
+        mk, kept = int(sizes[k]), set()
+        for r in range(mk):
+            t = int(picks[base[k] + r])
+            if t in kept:
+                t = picks[base[k] + r] = N - mk + r
+            kept.add(t)
+
+    # Fisher-Yates, one step for all nodes at once: with nodes by size,
+    # largest first, step s moves the first count[s] of them
+    order = np.argsort(-sizes, kind="stable")
+    sizes, base, first = sizes[order], base[order], (starts + sizes)[order]
+    count = np.searchsorted(1 - sizes, -np.arange(sizes[0] - 1), side="left")
+    for s, c in enumerate(count.tolist()):
+        i = base[:c] + sizes[:c] - 1 - s
+        r = base[:c] + values[first[:c] + s]
+        picks[i], picks[r] = picks[r], picks[i]
+    return picks
+
+
+def _choice_without_replacement(rng: np.random.Generator, N: int, sizes) -> np.ndarray:
+    """``np.concatenate([rng.choice(N, size=m, replace=False) for m in
+    sizes])``, each size in 1..N, leaving ``rng`` in the state that loop
+    leaves it in.
+
+    Runs of sizes that numpy draws by Floyd's algorithm are drawn in bulk
+    by ``_floyd_run``.  numpy instead shuffles the tail of ``arange(N)``
+    when ``N > 10000`` and ``m > N // 50``; those sizes are drawn by
+    ``rng.choice`` itself, in their place between the runs.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    own = np.flatnonzero((N > 10000) & (sizes > N // 50)).tolist()
+    chunks, start = [], 0
+    for stop in [*own, sizes.size]:
+        if stop > start:
+            chunks.append(_floyd_run(rng, N, sizes[start:stop]))
+        if stop < sizes.size:
+            chunks.append(rng.choice(N, size=int(sizes[stop]), replace=False))
+        start = stop + 1
+    return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+
+
 def gen_powerlaw(n: int, seed) -> DirectedGraph:
     """Heavy-tailed graph: in-degrees follow a discrete power law.
 
@@ -286,7 +381,7 @@ def gen_powerlaw(n: int, seed) -> DirectedGraph:
     rng = _as_rng(seed)
     in_degrees = sample_powerlaw_degrees(n, n, rng)
     # node i's followers are drawn from the n-1 other nodes, in node order
-    src = np.concatenate([rng.choice(n - 1, size=int(m), replace=False) for m in in_degrees])
+    src = _choice_without_replacement(rng, n - 1, in_degrees)
     dst = np.repeat(np.arange(n), in_degrees)
     src += src >= dst
     return DirectedGraph(n_nodes=n, edges=np.column_stack([src, dst]))

@@ -532,6 +532,45 @@ class TestMain:
         assert err == f"error: {fit}: not a fit report\n"
         assert "Traceback" not in err and not out.exists()
 
+    @pytest.mark.parametrize(
+        "golden, key",
+        [
+            *(("golden_fit.json", key) for key in ["K", "d", "n", "tol", "selected_columns", "coefficients"]),
+            *(("golden_fit.json", f"gaussian.{key}") for key in
+              ["rss", "sigma2_hat", "gram", "gram_inverse", "column_means", "y_mean"]),
+            *(("golden_logistic_fit.json", f"logistic.{key}") for key in
+              ["intercept", "intercept_std_error", "log_likelihood", "iterations", "converged"]),
+            *(("golden_cox_fit.json", f"cox.{key}") for key in ["partial_loglik", "iterations", "converged"]),
+        ],
+    )
+    def test_fit_file_missing_a_key_names_it(self, tmp_path, capsys, golden, key):
+        payload = json.loads((TOY / golden).read_text())
+        outer, _, inner = key.partition(".")
+        if inner:
+            del payload[outer][inner]
+        else:
+            del payload[outer]
+        fit = tmp_path / "fit.json"
+        fit.write_text(json.dumps(payload))
+        out = tmp_path / "pred.csv"
+        assert run("predict", "--fit", str(fit), "--edges", str(TOY / "edges.csv"),
+                   "--covariates", str(TOY / "covariates.csv"), "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {fit}: not a fit report (missing '{key}')\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("family", ["logistic", "cox"])
+    def test_fit_stopped_at_the_iteration_cap_exits_0(self, tmp_path, family):
+        # a tolerance no step can meet: 100 iterations, then a report that
+        # says the fit did not converge
+        outcome = {"logistic": ["--response", str(TOY / "binary.csv")],
+                   "cox": ["--time", str(TOY / "time.csv"), "--event", str(TOY / "event.csv")]}[family]
+        out = tmp_path / "fit.json"
+        assert run("fit", "--family", family, "--edges", str(TOY / "edges.csv"),
+                   "--covariates", str(TOY / "covariates.csv"), *outcome,
+                   "--K", "2", "--tol", "1e-300", "--out", str(out)) == 0
+        block = json.loads(out.read_text())[family]
+        assert (block["iterations"], block["converged"]) == (100, False)
+
     def test_calls_in_a_row_parse_independently(self, tmp_path):
         # the parser is built once; no flag of one call leaks into the next
         assert build_parser() is build_parser()

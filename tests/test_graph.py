@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from npr.design import read_covariates
+import npr.graph
 from npr.graph import (
     DirectedGraph,
+    _choice_without_replacement,
+    _lemire,
     _sample_distinct_codes,
     gen_erdos_renyi,
     gen_powerlaw,
@@ -272,11 +275,15 @@ class TestPowerlaw:
         in_deg = np.bincount(g.edges[:, 1], minlength=n)
         assert np.array_equal(in_deg, expected)
 
-    @pytest.mark.parametrize("n", [2, 30, 1000])
+    # n = 10002 draws from N = 10001 nodes, where numpy's choice takes its
+    # tail-shuffle branch for in-degrees above N // 50
+    @pytest.mark.parametrize("n", [2, 30, 1000, 3000, 10002])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_edges_equal_the_per_node_loop(self, n, seed):
         def reference(n, rng):
             in_degrees = sample_powerlaw_degrees(n, n, rng)
+            if n - 1 > 10000:
+                assert np.any(in_degrees > (n - 1) // 50)
             chunks = []
             for i in range(n):
                 m = int(in_degrees[i])
@@ -285,9 +292,11 @@ class TestPowerlaw:
                 chunks.append(np.column_stack([followers, np.full(m, i, dtype=np.int64)]))
             return np.concatenate(chunks)
 
-        got = gen_powerlaw(n, np.random.default_rng(seed)).edges
-        want = reference(n, np.random.default_rng(seed))
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = gen_powerlaw(n, rng).edges
+        want = reference(n, ref_rng)
         assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_implied_density(self):
         # the truncated discrete law fixes the expected density; at n=1000
@@ -297,6 +306,102 @@ class TestPowerlaw:
         mean_deg = float((np.arange(1, n) * pmf).sum())
         densities = [gen_powerlaw(n, 700 + i).density for i in range(10)]
         assert abs(np.mean(densities) - mean_deg / (n - 1)) < 3e-4
+
+
+BIT_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937, np.random.Philox, np.random.SFC64]
+
+
+def choice_loop(rng, N, sizes):
+    return np.concatenate([rng.choice(N, size=int(m), replace=False) for m in sizes])
+
+
+def assert_same_as_choice_loop(bit_generator, seed, N, sizes):
+    rng, ref_rng = np.random.Generator(bit_generator(seed)), np.random.Generator(bit_generator(seed))
+    got = _choice_without_replacement(rng, N, sizes)
+    want = choice_loop(ref_rng, N, sizes)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    # the generators go on alike: 64-bit, buffered 32-bit and float draws
+    assert np.array_equal(rng.integers(0, 2**63, size=4), ref_rng.integers(0, 2**63, size=4))
+    assert np.array_equal(rng.integers(0, 2**32, size=3, dtype=np.uint32), ref_rng.integers(0, 2**32, size=3, dtype=np.uint32))
+    assert rng.random() == ref_rng.random()
+
+
+def scalar_lemire(raw_values, bound):
+    """numpy's bounded draw in 0..bound, one uint32 at a time: returns the
+    value and the number of uint32 draws it took."""
+    span = bound + 1
+    threshold = (2**32 - 1 - bound) % span
+    for used, x in enumerate(raw_values, start=1):
+        m = x * span
+        if m % 2**32 >= threshold:
+            return m >> 32, used
+    raise AssertionError("ran out of raw values")
+
+
+class TestChoiceWithoutReplacement:
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda bg: bg.__name__)
+    @pytest.mark.parametrize("N", [1, 2, 999, 10000, 10001, 12000])
+    @pytest.mark.parametrize("m", ["1", "N//50", "N//50+1", "N"])
+    def test_equals_per_node_choice(self, bit_generator, N, m):
+        size = {"1": 1, "N//50": max(1, N // 50), "N//50+1": N // 50 + 1, "N": N}[m]
+        # the size alone, then between small sizes, so runs of Floyd draws
+        # meet numpy's own tail-shuffle draws on both sides
+        for seed, sizes in enumerate([[size], [1, size, min(N, 3), size, 2 if N > 1 else 1]]):
+            assert_same_as_choice_loop(bit_generator, seed, N, sizes)
+
+    def test_scalar_lemire_matches_numpy(self):
+        # bound 2**31 rejects nearly half of all uint32 draws
+        for bound in [1, 6, 999, 2**31, 2**32 - 2]:
+            rng, raw_rng = np.random.default_rng(bound), np.random.default_rng(bound)
+            want = rng.integers(0, bound + 1, size=200)
+            raw = raw_rng.integers(0, 2**32, size=1000, dtype=np.uint32).tolist()
+            got = []
+            while len(got) < want.size:
+                value, used = scalar_lemire(raw, bound)
+                got.append(value)
+                raw = raw[used:]
+            assert got == want.tolist()
+
+    def test_lemire_on_crafted_draws(self):
+        # bound 2**31: threshold 2**31 - 1, and x * (2**31 + 1) has low word
+        # (x << 31) + x mod 2**32
+        bound = 2**31
+        raws = [0, 1, 2**31 - 2, 2**31 - 1, 2**31, 2**32 - 1, 12345, 2**31 + 7]
+        for x in raws:
+            value, ok = _lemire(np.array([x], dtype=np.uint32), np.array([bound]))
+            low = (x * (bound + 1)) % 2**32
+            assert ok == (low >= 2**31 - 1)
+            if ok:
+                assert value.tolist() == [scalar_lemire([x], bound)[0]]
+        assert not _lemire(np.array(raws, dtype=np.uint32), np.full(len(raws), bound))[1]
+        # bound 0xFFFFFFFF is numpy's unbounded uint32: every draw is kept as is
+        value, ok = _lemire(np.array(raws, dtype=np.uint32), np.full(len(raws), 2**32 - 1))
+        assert ok and value.tolist() == raws
+
+    def test_rejected_draw_redraws_node_by_node(self, monkeypatch):
+        lemire, calls = npr.graph._lemire, []
+
+        def rejecting_first(raw, bounds):
+            calls.append(raw.size)
+            values, ok = lemire(raw, bounds)
+            return values, ok and len(calls) > 1
+
+        monkeypatch.setattr(npr.graph, "_lemire", rejecting_first)
+        sizes = [3, 1, 7, 2, 40, 1]
+        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        got = _choice_without_replacement(rng, 999, sizes)
+        # one bulk draw of every bounded value, then numpy's own choice
+        assert calls == [2 * sum(sizes) - len(sizes)]
+        assert np.array_equal(got, choice_loop(ref_rng, 999, sizes))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("N", [2**31 + 1, 2**32, 2**32 + 5])
+    def test_large_populations(self, N):
+        # near 2**31 about half the bounded draws are rejected and redrawn;
+        # 2**32 uses numpy's unbounded uint32, above it numpy's 64-bit draws,
+        # which the bulk decode reads as rejected
+        for seed in range(4):
+            assert_same_as_choice_loop(np.random.PCG64, seed, N, [3, 5, 1, 2])
 
 
 class TestEdgeListIO:
