@@ -102,6 +102,16 @@ class NewtonFit(FitRecord):
     step_halvings: int = 0  # rejected Newton candidates over the fit
     jitter_retry: bool = False  # some step needed the ridge retry
 
+    def _solver_block(self) -> dict:
+        """The solver's keys of the family's report block."""
+        return {"iterations": self.iterations, "converged": self.converged}
+
+    @classmethod
+    def _solver_fields(cls, get) -> dict:
+        """The fields :meth:`_solver_block` wrote; the information and the trace are not reported."""
+        return dict(iterations=get("iterations", {int}), converged=get("converged", {bool}), information=None,
+                    loglik_trace=[])
+
 
 def newton_fields(result: tuple, n: int) -> tuple[np.ndarray, float, dict]:
     """Split a :func:`newton_maximize` result into the estimate, the

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .cox import CoxFit, SurvivalData, fit_cox, predict_relative_risk
-from .design import build_design, center, forward_select, read_covariates
+from .design import _NUMBER, _report_value, build_design, center, forward_select, read_covariates
 from .exceptions import ModelError
 from .gaussian import (
     Z_95,
@@ -45,14 +45,7 @@ from .schemas import validate_report
 from .sim import ScenarioConfig, row_splits, run_prediction_study, run_test_study
 
 DEFAULT_TOL = 1e-8
-_FAMILIES = ("gaussian", "logistic", "cox")
-# the fit report keys that test, predict and eval-auc read
-_FIT_KEYS = ("K", "d", "n", "tol", "selected_columns", "coefficients")
-_FIT_BLOCK_KEYS = {
-    "gaussian": ("rss", "sigma2_hat", "gram", "gram_inverse", "column_means", "y_mean"),
-    "logistic": ("intercept", "intercept_std_error", "log_likelihood", "iterations", "converged"),
-    "cox": ("partial_loglik", "iterations", "converged"),
-}
+_FIT_RECORDS = {record.family: record for record in (GaussianFit, LogisticFit, CoxFit)}
 DETERMINISTIC_SEED_HELP = (
     "recorded in the report's manifest only; this command draws no random "
     "numbers, so its output is the same for every seed"
@@ -123,22 +116,6 @@ def _load_design(args, X: np.ndarray, K: int):
     return build_design(row_normalize(graph), X, K)
 
 
-def _coefficient_records(fit, estimates, std_errors):
-    recs = []
-    for i, col in enumerate(fit.selected):
-        k, j = fit.provenance[col]
-        recs.append(
-            {
-                "name": fit.column_names[i],
-                "order": int(k),
-                "covariate": int(j),
-                "estimate": float(estimates[i]),
-                "std_error": float(std_errors[i]),
-            }
-        )
-    return recs
-
-
 def cmd_fit(args) -> None:
     run = _Run("fit", args, ["edges", "covariates", "response", "time", "event"])
     if args.family in ("gaussian", "logistic"):
@@ -149,33 +126,12 @@ def cmd_fit(args) -> None:
             raise ValueError("--time and --event are required for family cox")
 
     design = _load_design(args, read_covariates(args.covariates), args.K)
-    report = {
-        "schema_version": 1,
-        "kind": "fit",
-        "family": args.family,
-        "n": design.n_rows,
-        "K": args.K,
-        "d": design.d,
-        "tol": args.tol,
-        "gaussian": None,
-        "logistic": None,
-        "cox": None,
-    }
-
+    report = {"schema_version": 1, "kind": "fit", "family": args.family, "tol": args.tol,
+              **dict.fromkeys(_FIT_RECORDS)}
     if args.family == "gaussian":
         y = _read_single_column(args.response, "y")
         design = center(design)  # rebinding frees the raw design before selection and the fit
         fit = fit_ols(forward_select(design, tol=args.tol), y)
-        estimates, std_errors = fit.theta_hat, fit.std_errors
-        report["gaussian"] = {
-            "rss": fit.rss,
-            "sigma2_hat": fit.sigma2_hat,
-            "y_mean": fit.y_mean,
-            "column_means": fit.column_means.tolist(),
-            "gram": fit.gram.tolist(),
-            "gram_inverse": fit.gram_inverse.tolist(),
-            "gram_condition_number": float(np.linalg.cond(fit.gram)),
-        }
         report["t_statistics"] = [
             {k: (v if not isinstance(v, float) or math.isfinite(v) else None) for k, v in rec.items()}
             for rec in t_statistics(fit)
@@ -183,12 +139,6 @@ def cmd_fit(args) -> None:
     elif args.family == "logistic":
         y = _read_single_column(args.response, "y")
         fit = fit_logistic(forward_select(design, tol=args.tol), y, tol=args.tol)
-        estimates, std_errors = fit.theta_hat[1:], fit.std_errors[1:]
-        report["logistic"] = {
-            "intercept": float(fit.theta_hat[0]),
-            "intercept_std_error": float(fit.std_errors[0]),
-            "log_likelihood": fit.log_likelihood,
-        }
     else:
         t = _read_single_column(args.time, "time")
         d = _read_single_column(args.event, "event")
@@ -196,91 +146,31 @@ def cmd_fit(args) -> None:
         if surv.n != design.n_rows:
             raise ValueError("survival data length must match the covariate rows")
         fit = fit_cox(forward_select(design, tol=args.tol), surv, tol=args.tol)
-        estimates, std_errors = fit.lambda_hat, fit.std_errors
-        report["cox"] = {"partial_loglik": fit.partial_loglik, "n_events": surv.n_events}
-    if args.family != "gaussian":
-        report[args.family].update(iterations=fit.iterations, converged=fit.converged)
-
-    report["selected_columns"] = [int(c) for c in fit.selected]
-    report["coefficients"] = _coefficient_records(fit, estimates, std_errors)
-    report["manifest"] = run.manifest()
+    report.update(fit.to_report(), manifest=run.manifest())
     _write_report(report, args.out)
 
 
-def _fit_from_json(path) -> dict:
+def _load_fit(path):
+    """The fit record in the fit report at ``path``, and the report.  Only the keys that are
+    read are checked: a full schema validation costs far more than the read itself at large n."""
     with open(path) as fh:
-        payload = json.load(fh)
-    if not (
-        isinstance(payload, dict)
-        and payload.get("kind") == "fit"
-        and payload.get("family") in _FAMILIES
-        and isinstance(payload.get(payload["family"]), dict)
-    ):
+        report = json.load(fh)
+    family = report.get("family") if isinstance(report, dict) else None
+    if not (isinstance(family, str) and family in _FIT_RECORDS and report.get("kind") == "fit"
+            and isinstance(report.get(family), dict)):
         raise ValueError(f"{path}: not a fit report")
-    # only the keys that are read are checked: a full schema validation
-    # costs far more than the read itself at large n
-    family = payload["family"]
-    missing = [key for key in _FIT_KEYS if key not in payload]
-    missing += [f"{family}.{key}" for key in _FIT_BLOCK_KEYS[family] if key not in payload[family]]
-    if missing:
-        raise ValueError(f"{path}: not a fit report (missing '{missing[0]}')")
-    return payload
-
-
-def _rebuild_fit(payload: dict):
-    """The family's fit object from a fit report, as far as prediction and
-    the order tests need it (the Newton information and trace are not
-    reported)."""
-    K, d, family = payload["K"], payload["d"], payload["family"]
-    coefs = payload["coefficients"]
-    columns = {
-        "selected": [int(c) for c in payload["selected_columns"]],
-        "provenance": [(k, j) for k in range(K + 1) for j in range(d)],
-        "column_names": [c["name"] for c in coefs],
-        "n": payload["n"],
-    }
-    estimates = np.asarray([c["estimate"] for c in coefs])
-    ses = np.asarray([c["std_error"] for c in coefs])
-    block = payload[family]
-    if family == "gaussian":
-        return GaussianFit(
-            theta_hat=estimates,
-            rss=block["rss"],
-            sigma2_hat=block["sigma2_hat"],
-            gram=np.asarray(block["gram"]),
-            gram_inverse=np.asarray(block["gram_inverse"]),
-            std_errors=ses,
-            column_means=np.asarray(block["column_means"]),
-            y_mean=block["y_mean"],
-            **columns,
-        )
-    newton = {
-        "iterations": block["iterations"],
-        "converged": block["converged"],
-        "information": None,
-        "loglik_trace": [],
-    }
-    if family == "logistic":
-        return LogisticFit(
-            theta_hat=np.concatenate([[block["intercept"]], estimates]),
-            log_likelihood=block["log_likelihood"],
-            std_errors=np.concatenate([[block["intercept_std_error"]], ses]),
-            **newton,
-            **columns,
-        )
-    return CoxFit(
-        lambda_hat=estimates, partial_loglik=block["partial_loglik"], std_errors=ses, **newton, **columns
-    )
+    fit = _FIT_RECORDS[family].from_report(report, path)
+    _report_value(report, "tol", _NUMBER, path, "tol")  # the key cmd_fit writes and eval-auc reads
+    return fit, report
 
 
 def cmd_test(args) -> None:
     run = _Run("test", args, ["fit"])
     if not 0.0 < args.alpha < 1.0:
         raise ValueError("--alpha must lie strictly between 0 and 1")
-    payload = _fit_from_json(args.fit)
-    if payload["family"] != "gaussian":
+    fit, payload = _load_fit(args.fit)
+    if fit.family != "gaussian":
         raise ValueError("order tests require a gaussian-family fit")
-    fit = _rebuild_fit(payload)
     if args.kmax > payload["K"]:
         raise ValueError(f"--kmax {args.kmax} exceeds the fit's K={payload['K']}")
     result = order_test(fit, None, k_max=args.kmax, xi=args.alpha)
@@ -295,16 +185,14 @@ def cmd_test(args) -> None:
 
 
 def cmd_predict(args) -> None:
-    payload = _fit_from_json(args.fit)
+    fit, payload = _load_fit(args.fit)
     X = read_covariates(args.covariates, allow_empty=True)
     if X.shape[1] != payload["d"]:
-        raise ValueError(
-            f"covariates have {X.shape[1]} columns but the fit used {payload['d']}"
-        )
+        raise ValueError(f"covariates have {X.shape[1]} columns but the fit used {payload['d']}")
     values = np.empty(0)
     if X.shape[0]:  # an empty covariate file has no graph to read
         predictors = {"gaussian": predict_gaussian, "logistic": predict_proba, "cox": predict_relative_risk}
-        values = predictors[payload["family"]](_rebuild_fit(payload), _load_design(args, X, payload["K"]))
+        values = predictors[fit.family](fit, _load_design(args, X, payload["K"]))
     # the bytes csv.writer gives: no field here needs quoting
     rows = "".join(f"{i},{v!r}\r\n" for i, v in enumerate(values.tolist()))
     with open(args.out, "w", newline="") as fh:
@@ -371,8 +259,8 @@ def cmd_eval_auc(args) -> None:
     if args.splits < 2:  # one split has no spread to give an interval
         raise ValueError("--splits must be at least 2")
     run.seed = _resolve_seed(args)
-    payload = _fit_from_json(args.fit)
-    if payload["family"] != "logistic":
+    fit, payload = _load_fit(args.fit)
+    if fit.family != "logistic":
         raise ValueError("eval-auc requires a logistic-family fit configuration")
     y = _read_single_column(args.response, "y")
     X = read_covariates(args.covariates)
@@ -406,15 +294,18 @@ def cmd_eval_auc(args) -> None:
     _write_report(report, args.out)
 
 
-def _positive_float(text: str) -> float:
-    """An argparse type: a finite float above zero."""
+def _positive_float(text: str, below: float = math.inf, bounds: str = "above 0") -> float:
+    """An argparse type: a finite float above zero (and below ``below``)."""
     try:
         value = float(text)
     except ValueError:
         value = math.nan
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {text!r}")
+    if not (math.isfinite(value) and 0 < value < below):
+        raise argparse.ArgumentTypeError(f"must be a finite number {bounds}, got {text!r}")
     return value
+
+
+_fraction = functools.partial(_positive_float, below=1.0, bounds="strictly between 0 and 1")
 
 
 @functools.cache
@@ -428,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_fit = sub.add_parser("fit", help="fit a model from CSV inputs")
-    p_fit.add_argument("--family", required=True, choices=_FAMILIES)
+    p_fit.add_argument("--family", required=True, choices=_FIT_RECORDS)
     p_fit.add_argument("--edges", required=True)
     p_fit.add_argument("--covariates", required=True)
     p_fit.add_argument("--response")
@@ -461,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--n", type=int, required=True)
     p_sim.add_argument("--reps", type=int, default=100)
     p_sim.add_argument("--seed", type=int)
-    p_sim.add_argument("--train-frac", type=float, default=0.8)
+    p_sim.add_argument("--train-frac", type=_fraction, default=0.8)
     p_sim.add_argument("--out", required=True)
     p_sim.add_argument("--csv")
     p_sim.set_defaults(func=cmd_simulate)
@@ -472,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_st.add_argument("--n", type=int, required=True)
     p_st.add_argument("--reps", type=int, default=1000)
     p_st.add_argument("--seed", type=int)
-    p_st.add_argument("--train-frac", type=float, default=0.8)
+    p_st.add_argument("--train-frac", type=_fraction, default=0.8)
     p_st.add_argument("--out", required=True)
     p_st.add_argument("--csv")
     p_st.set_defaults(func=cmd_simulate_test)
@@ -483,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_auc.add_argument("--covariates", required=True)
     p_auc.add_argument("--response", required=True)
     p_auc.add_argument("--splits", type=int, default=100)
-    p_auc.add_argument("--train-frac", type=float, default=0.8)
+    p_auc.add_argument("--train-frac", type=_fraction, default=0.8)
     p_auc.add_argument("--seed", type=int)
     p_auc.add_argument("--out", required=True)
     p_auc.set_defaults(func=cmd_eval_auc)

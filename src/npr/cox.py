@@ -70,8 +70,19 @@ class SurvivalData:
 class CoxFit(NewtonFit):
     """Maximum partial likelihood estimate over selected columns."""
 
+    family = "cox"
     lambda_hat: np.ndarray
     partial_loglik: float
+    n_events: int
+
+    def _report_block(self) -> tuple:
+        return self.lambda_hat, self.std_errors, dict(
+            partial_loglik=self.partial_loglik, n_events=self.n_events, **self._solver_block())
+
+    @classmethod
+    def _from_report_block(cls, get, estimates, std_errors) -> dict:
+        return dict(lambda_hat=estimates, partial_loglik=get("partial_loglik"), n_events=get("n_events", {int}),
+                    std_errors=std_errors, **cls._solver_fields(get))
 
 
 class _RiskSetEngine:
@@ -188,7 +199,7 @@ def fit_cox(
         loglik=engine.loglik,
     )
     beta, ll, newton = newton_fields(result, surv.n)
-    return CoxFit(lambda_hat=beta, partial_loglik=ll, **newton, **columns)
+    return CoxFit(lambda_hat=beta, partial_loglik=ll, n_events=surv.n_events, **newton, **columns)
 
 
 def predict_relative_risk(fit: CoxFit, design_new: PropagatedDesign) -> np.ndarray:

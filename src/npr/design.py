@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -218,19 +219,91 @@ def fit_inputs(design: PropagatedDesign, family: str, centered: bool) -> tuple[n
     }
 
 
+_NUMBER = {int, float}  # the Python types of a parsed JSON number; true and false are neither
+
+
+def _report_value(mapping: dict, key: str, kind, path, name: str):
+    """``mapping[key]`` of the fit report read from ``path``, where ``name`` is the key's place in
+    the report.  ``kind`` is a set of Python types, one of which the value must have exactly,
+    or the shape ``(p,)`` or ``(p, p)`` of a JSON array of numbers, returned as a float array."""
+    if key not in mapping:
+        raise ValueError(f"{path}: not a fit report (missing '{name}')")
+    value = mapping[key]
+    if isinstance(kind, set):
+        if type(value) in kind:
+            return value
+        raise ValueError(f"{path}: not a fit report (bad '{name}')")
+    rows = value if len(kind) == 2 else [value]
+    if not (type(value) is list and all(type(row) is list and set(map(type, row)) <= _NUMBER for row in rows)):
+        raise ValueError(f"{path}: not a fit report (bad '{name}')")
+    if len(value) != kind[0] or any(len(row) != kind[-1] for row in rows):
+        raise ValueError(f"{path}: not a fit report ('{name}' does not match the {kind[0]} selected columns)")
+    return np.asarray(value, dtype=np.float64)
+
+
 @dataclass(eq=False, kw_only=True)
 class FitRecord:
     """What every fit carries: the design columns it was fit on.
 
     ``selected`` indexes the design's columns, ``provenance`` is the full
     design layout (so a prediction design can be checked against it) and
-    ``column_names`` names the selected columns in order.
+    ``column_names`` names the selected columns in order.  Each family gives
+    its report block by ``_report_block`` and reads it by ``_from_report_block``.
     """
 
+    family: ClassVar[str]  # the report's family name and the key of its block
     selected: list[int]
     provenance: list[tuple[int, int]]
     column_names: list[str]
     n: int
+
+    def _coefficients(self, estimates, std_errors) -> list[dict]:
+        return [
+            {"name": name, "order": int(self.provenance[c][0]), "covariate": int(self.provenance[c][1]),
+             "estimate": float(est), "std_error": float(se)}
+            for name, c, est, se in zip(self.column_names, self.selected, estimates, std_errors)
+        ]
+
+    def to_report(self) -> dict:
+        """This fit's keys of a fit report: ``n``, ``K``, ``d``,
+        ``selected_columns``, ``coefficients`` and the family's block."""
+        estimates, std_errors, block = self._report_block()
+        K = self.provenance[-1][0]
+        return {"n": self.n, "K": K, "d": len(self.provenance) // (K + 1), self.family: block,
+                "selected_columns": [int(c) for c in self.selected],
+                "coefficients": self._coefficients(estimates, std_errors)}
+
+    @classmethod
+    def from_report(cls, report: dict, path) -> "FitRecord":
+        """The fit that :meth:`to_report` wrote into ``report``, as far as prediction and the
+        order tests need it; ``report[cls.family]`` must be a dict.  A key that is missing, or
+        of the wrong type or size, raises ``ValueError`` naming ``path``."""
+        K, d, n = (_report_value(report, key, {int}, path, key) for key in ("K", "d", "n"))
+        selected = _report_value(report, "selected_columns", {list}, path, "selected_columns")
+        coefficients = _report_value(report, "coefficients", {list}, path, "coefficients")
+        provenance = [(k, j) for k in range(K + 1) for j in range(d)]
+        if not all(type(c) is int and 0 <= c < len(provenance) for c in selected):
+            raise ValueError(f"{path}: not a fit report (bad 'selected_columns')")
+        if len(coefficients) != (p := len(selected)):
+            raise ValueError(f"{path}: not a fit report ('coefficients' does not match the {p} selected columns)")
+        for i, coefficient in enumerate(coefficients):
+            if type(coefficient) is not dict:
+                raise ValueError(f"{path}: not a fit report (bad 'coefficients[{i}]')")
+        names, estimates, std_errors = (
+            [_report_value(c, key, kind, path, f"coefficients[{i}].{key}") for i, c in enumerate(coefficients)]
+            for key, kind in (("name", {str}), ("estimate", _NUMBER), ("std_error", _NUMBER))
+        )
+
+        def get(key: str, kind=_NUMBER):
+            return _report_value(report[cls.family], key, kind, path, f"{cls.family}.{key}")
+
+        return cls(
+            selected=selected,
+            provenance=provenance,
+            column_names=names,
+            n=n,
+            **cls._from_report_block(get, *(np.asarray(a, dtype=np.float64) for a in (estimates, std_errors))),
+        )
 
     def gather(self, design_new: PropagatedDesign) -> np.ndarray:
         """The fit's selected columns of a raw design with the fit's layout."""

@@ -36,6 +36,7 @@ NORMAL_APPROX_MIN_DIM = 128
 class GaussianFit(FitRecord):
     """OLS fit over the selected columns of a propagated design."""
 
+    family = "gaussian"
     theta_hat: np.ndarray
     rss: float
     sigma2_hat: float
@@ -56,6 +57,19 @@ class GaussianFit(FitRecord):
     def selected_orders(self) -> np.ndarray:
         """Propagation order of each selected column."""
         return np.asarray([self.provenance[c][0] for c in self.selected])
+
+    def _report_block(self) -> tuple:
+        return self.theta_hat, self.std_errors, dict(
+            rss=self.rss, sigma2_hat=self.sigma2_hat, y_mean=self.y_mean, column_means=self.column_means.tolist(),
+            gram=self.gram.tolist(), gram_inverse=self.gram_inverse.tolist(),
+            gram_condition_number=float(np.linalg.cond(self.gram)))  # written, not read back
+
+    @classmethod
+    def _from_report_block(cls, get, estimates, std_errors) -> dict:
+        p = len(estimates)
+        return dict(theta_hat=estimates, rss=get("rss"), sigma2_hat=get("sigma2_hat"), gram=get("gram", (p, p)),
+                    gram_inverse=get("gram_inverse", (p, p)), std_errors=std_errors,
+                    column_means=get("column_means", (p,)), y_mean=get("y_mean"))
 
 
 def _qr(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -173,29 +187,16 @@ def t_statistics(fit: GaussianFit) -> list[dict]:
             RuntimeWarning,
             stacklevel=2,
         )
-    for i, col in enumerate(fit.selected):
-        est = float(fit.theta_hat[i])
-        se = float(fit.std_errors[i])
+    for col, rec in zip(fit.selected, fit._coefficients(fit.theta_hat, fit.std_errors)):
+        est, se = rec["estimate"], rec["std_error"]
         if se > 0.0:
             t = est / se
             pval = 2.0 * special.ndtr(-abs(t))
         else:
             t = math.inf if est >= 0 else -math.inf
             pval = 0.0
-        out.append(
-            {
-                "column": col,
-                "name": fit.column_names[i],
-                "order": fit.provenance[col][0],
-                "covariate": fit.provenance[col][1],
-                "estimate": est,
-                "std_error": se,
-                "t": t,
-                "p": float(pval),
-                "ci_low": est - Z_95 * se,
-                "ci_high": est + Z_95 * se,
-            }
-        )
+        out.append({**rec, "column": col, "t": t, "p": float(pval),
+                    "ci_low": est - Z_95 * se, "ci_high": est + Z_95 * se})
     return out
 
 

@@ -28,8 +28,21 @@ class LogisticFit(NewtonFit):
     """Converged conditional MLE; ``theta_hat[0]`` is the intercept, and the
     information and standard errors include it."""
 
+    family = "logistic"
     theta_hat: np.ndarray
     log_likelihood: float
+
+    def _report_block(self) -> tuple:
+        # the intercept is reported in the block, apart from the coefficients
+        return self.theta_hat[1:], self.std_errors[1:], dict(
+            intercept=float(self.theta_hat[0]), intercept_std_error=float(self.std_errors[0]),
+            log_likelihood=self.log_likelihood, **self._solver_block())
+
+    @classmethod
+    def _from_report_block(cls, get, estimates, std_errors) -> dict:
+        return dict(theta_hat=np.concatenate([[get("intercept")], estimates]),
+                    std_errors=np.concatenate([[get("intercept_std_error")], std_errors]),
+                    log_likelihood=get("log_likelihood"), **cls._solver_fields(get))
 
 
 def _log_likelihood(eta: np.ndarray, y: np.ndarray) -> float:

@@ -1,12 +1,17 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import npr
 from npr.cli import build_parser, main
@@ -14,6 +19,37 @@ from npr.schemas import validate_report
 
 TOY = Path(__file__).parent / "data" / "toy"
 SIM = Path(__file__).parent / "data" / "sim"
+GOLDEN_FITS = ["golden_fit.json", "golden_logistic_fit.json", "golden_cox_fit.json"]
+MISSING = object()  # a key deleted from a fit file
+
+
+def golden_fit(**changes):
+    """The toy gaussian golden fit with some top-level keys replaced."""
+    return {**json.loads((TOY / "golden_fit.json").read_text()), **changes}
+
+
+def gaussian_block(**changes):
+    return {**golden_fit()["gaussian"], **changes}
+
+
+def read_positions(fit) -> list[tuple]:
+    """Every (container, key) of a fit report whose value test or predict reads."""
+    unread = {"schema_version", "t_statistics", "gram_condition_number", "order", "covariate"}
+    positions = []
+
+    def walk(node):
+        for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+            if key not in unread and value is not None:  # None: another family's block
+                positions.append((node, key))
+                if isinstance(value, (dict, list)):
+                    walk(value)
+
+    walk(fit)
+    return positions
+
+
+def json_type(value) -> str:
+    return "number" if type(value) in (int, float) else type(value).__name__
 
 
 def run(*argv):
@@ -343,14 +379,14 @@ class TestPredictCommand:
         assert out.read_text().strip() == "node,prediction"
 
     def test_rows_are_the_bytes_csv_writer_gives(self, toy_fit, tmp_path):
-        from npr.cli import _load_design, _rebuild_fit
-        from npr.gaussian import predict
+        from npr.cli import _load_design
+        from npr.gaussian import GaussianFit, predict
 
         empty = tmp_path / "empty.csv"
         empty.write_text("x1,x2\n")
         X = np.loadtxt(TOY / "covariates.csv", delimiter=",", skiprows=1)
         args = type("Args", (), {"edges": str(TOY / "edges.csv")})
-        values = predict(_rebuild_fit(json.loads(toy_fit.read_text())), _load_design(args, X, 2))
+        values = predict(GaussianFit.from_report(json.loads(toy_fit.read_text()), toy_fit), _load_design(args, X, 2))
         for covariates, rows in ((TOY / "covariates.csv", values), (empty, [])):
             out, want = tmp_path / "pred.csv", tmp_path / "want.csv"
             assert run(
@@ -512,11 +548,33 @@ class TestSimulateCommands:
 class TestMain:
     @pytest.mark.parametrize("command", ["test", "predict"])
     @pytest.mark.parametrize(
-        "payload",
-        [[1, 2], "fit", {"kind": "fit"}, {"kind": "fit", "family": "gaussian"}, {"kind": "fit", "family": "probit", "probit": {}}],
-        ids=["list", "string", "no family", "no family block", "unknown family"],
+        "payload, reason",
+        [
+            ([1, 2], ""),
+            ("fit", ""),
+            ({"kind": "fit"}, ""),
+            ({"kind": "fit", "family": "gaussian"}, ""),
+            ({"kind": "fit", "family": "probit", "probit": {}}, ""),
+            ({"kind": "fit", "family": ["gaussian"]}, ""),
+            (golden_fit(selected_columns=[999]), " (bad 'selected_columns')"),
+            (golden_fit(selected_columns=[0, 1, 2, 3, 4, 6]), " (bad 'selected_columns')"),
+            (golden_fit(coefficients=golden_fit()["coefficients"][1:]),
+             " ('coefficients' does not match the 6 selected columns)"),
+            (golden_fit(gaussian=gaussian_block(column_means=None)), " (bad 'gaussian.column_means')"),
+            (golden_fit(gaussian=gaussian_block(column_means=[0.0] * 5)),
+             " ('gaussian.column_means' does not match the 6 selected columns)"),
+            (golden_fit(gaussian=gaussian_block(gram="x")), " (bad 'gaussian.gram')"),
+            (golden_fit(gaussian=gaussian_block(gram=gaussian_block()["gram"][:5])),
+             " ('gaussian.gram' does not match the 6 selected columns)"),
+            (golden_fit(gaussian=gaussian_block(gram_inverse=[row[:5] for row in gaussian_block()["gram_inverse"]])),
+             " ('gaussian.gram_inverse' does not match the 6 selected columns)"),
+        ],
+        ids=["list", "string", "no family", "no family block", "unknown family", "family of a list type",
+             "selected column out of range", "selected column past the design", "one coefficient removed",
+             "null column means", "short column means", "gram a string", "gram missing a row",
+             "gram inverse rows too short"],
     )
-    def test_fit_file_of_the_wrong_shape_exits_2(self, tmp_path, capsys, command, payload):
+    def test_fit_file_of_the_wrong_shape_exits_2(self, tmp_path, capsys, command, payload, reason):
         fit = tmp_path / "fit.json"
         if isinstance(payload, dict):  # a golden fit with keys taken away or changed
             golden = json.loads((TOY / "golden_fit.json").read_text())
@@ -529,34 +587,94 @@ class TestMain:
         out = tmp_path / "o.out"
         assert run(command, "--fit", str(fit), *inputs, "--out", str(out)) == 2
         err = capsys.readouterr().err
-        assert err == f"error: {fit}: not a fit report\n"
+        assert err == f"error: {fit}: not a fit report{reason}\n"
         assert "Traceback" not in err and not out.exists()
 
     @pytest.mark.parametrize(
-        "golden, key",
+        "golden, key, value",
         [
-            *(("golden_fit.json", key) for key in ["K", "d", "n", "tol", "selected_columns", "coefficients"]),
-            *(("golden_fit.json", f"gaussian.{key}") for key in
-              ["rss", "sigma2_hat", "gram", "gram_inverse", "column_means", "y_mean"]),
-            *(("golden_logistic_fit.json", f"logistic.{key}") for key in
-              ["intercept", "intercept_std_error", "log_likelihood", "iterations", "converged"]),
-            *(("golden_cox_fit.json", f"cox.{key}") for key in ["partial_loglik", "iterations", "converged"]),
+            *(pytest.param(golden, key, MISSING, id=f"{golden}-{key}") for golden, key in [
+                *(("golden_fit.json", key) for key in ["K", "d", "n", "tol", "selected_columns", "coefficients"]),
+                *(("golden_fit.json", f"gaussian.{key}") for key in
+                  ["rss", "sigma2_hat", "gram", "gram_inverse", "column_means", "y_mean"]),
+                *(("golden_logistic_fit.json", f"logistic.{key}") for key in
+                  ["intercept", "intercept_std_error", "log_likelihood", "iterations", "converged"]),
+                *(("golden_cox_fit.json", f"cox.{key}") for key in ["partial_loglik", "iterations", "converged"]),
+                *(("golden_fit.json", f"coefficients[0].{key}") for key in ["name", "estimate", "std_error"]),
+                ("golden_cox_fit.json", "cox.n_events"),
+            ]),
+            # a value of the wrong JSON type: exit 2 naming the key, not a traceback
+            *(pytest.param(golden, key, value, id=f"{golden}-{key}={value!r}") for golden, key, value in [
+                ("golden_fit.json", "K", "2"),
+                ("golden_fit.json", "K", True),
+                ("golden_fit.json", "d", 2.0),
+                ("golden_fit.json", "n", None),
+                ("golden_fit.json", "tol", "1e-8"),
+                ("golden_fit.json", "selected_columns", {}),
+                ("golden_fit.json", "coefficients", "k0_x1"),
+                ("golden_fit.json", "coefficients[2]", 1.5),
+                ("golden_fit.json", "coefficients[2].estimate", "1.0"),
+                ("golden_fit.json", "coefficients[5].name", 5),
+                ("golden_fit.json", "gaussian.rss", None),
+                ("golden_fit.json", "gaussian.column_means", [0.0, 0.0, 0.0, 0.0, 0.0, "0"]),
+                ("golden_logistic_fit.json", "logistic.intercept", [1.0]),
+                ("golden_logistic_fit.json", "logistic.converged", 1),
+                ("golden_cox_fit.json", "cox.iterations", False),
+                ("golden_cox_fit.json", "coefficients[1].std_error", True),
+            ]),
         ],
     )
-    def test_fit_file_missing_a_key_names_it(self, tmp_path, capsys, golden, key):
+    def test_fit_file_missing_a_key_names_it(self, tmp_path, capsys, golden, key, value):
         payload = json.loads((TOY / golden).read_text())
-        outer, _, inner = key.partition(".")
-        if inner:
-            del payload[outer][inner]
+        *parents, last = key.replace("[", ".").replace("]", "").split(".")
+        holder = payload
+        for part in parents:
+            holder = holder[int(part) if part.isdigit() else part]
+        last = int(last) if last.isdigit() else last
+        if value is MISSING:
+            del holder[last]
         else:
-            del payload[outer]
+            holder[last] = value
         fit = tmp_path / "fit.json"
         fit.write_text(json.dumps(payload))
         out = tmp_path / "pred.csv"
         assert run("predict", "--fit", str(fit), "--edges", str(TOY / "edges.csv"),
                    "--covariates", str(TOY / "covariates.csv"), "--out", str(out)) == 2
-        assert capsys.readouterr().err == f"error: {fit}: not a fit report (missing '{key}')\n"
+        why = "missing" if value is MISSING else "bad"
+        assert capsys.readouterr().err == f"error: {fit}: not a fit report ({why} '{key}')\n"
         assert not out.exists()
+
+    @given(data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_a_damaged_fit_file_exits_2_without_a_traceback(self, data):
+        # one damage to a value that test or predict reads: its key deleted,
+        # a value of another JSON type, or a list cut short
+        payload = json.loads((TOY / data.draw(st.sampled_from(GOLDEN_FITS))).read_text())
+        holder, key = data.draw(st.sampled_from(read_positions(payload)))
+        value = holder[key]
+        damages = ["retype"]
+        if isinstance(holder, dict):
+            damages.append("delete")
+        if type(value) is list and value:
+            damages.append("truncate")
+        damage = data.draw(st.sampled_from(damages))
+        if damage == "delete":
+            del holder[key]
+        elif damage == "truncate":
+            holder[key] = value[: data.draw(st.integers(0, len(value) - 1))]
+        else:
+            others = [v for v in (None, True, 1.5, "x", [], {}) if json_type(v) != json_type(value)]
+            holder[key] = data.draw(st.sampled_from(others))
+        command, *inputs = data.draw(st.sampled_from([
+            ["test", "--kmax", "1"],
+            ["predict", "--edges", str(TOY / "edges.csv"), "--covariates", str(TOY / "covariates.csv")],
+        ]))
+        with tempfile.TemporaryDirectory() as tmp:
+            fit, out = Path(tmp) / "fit.json", Path(tmp) / "out"
+            fit.write_text(json.dumps(payload))
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                assert run(command, "--fit", str(fit), *inputs, "--out", str(out)) == 2
+            assert "Traceback" not in err.getvalue() and not out.exists()
 
     @pytest.mark.parametrize("family", ["logistic", "cox"])
     def test_fit_stopped_at_the_iteration_cap_exits_0(self, tmp_path, family):
@@ -570,6 +688,23 @@ class TestMain:
                    "--K", "2", "--tol", "1e-300", "--out", str(out)) == 0
         block = json.loads(out.read_text())[family]
         assert (block["iterations"], block["converged"]) == (100, False)
+
+    @pytest.mark.parametrize("frac", ["nan", "inf", "0", "1", "abc"])
+    @pytest.mark.parametrize("command", ["eval-auc", "simulate", "simulate-test"])
+    def test_train_frac_must_lie_strictly_between_0_and_1(self, tmp_path, capsys, command, frac):
+        argv = {
+            "eval-auc": ["--fit", str(TOY / "golden_logistic_fit.json"), "--edges", str(TOY / "edges.csv"),
+                         "--covariates", str(TOY / "covariates.csv"), "--response", str(TOY / "binary.csv")],
+            "simulate": ["--case", "1", "--setting", "1", "--n", "50", "--reps", "2"],
+            "simulate-test": ["--case", "1", "--nulls", "2", "--n", "50", "--reps", "2"],
+        }[command]
+        out = tmp_path / "r.json"
+        with pytest.raises(SystemExit) as exc:
+            run(command, *argv, "--seed", "1", f"--train-frac={frac}", "--out", str(out))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --train-frac: must be a finite number strictly between 0 and 1, got {frac!r}" in err
+        assert not out.exists()
 
     def test_calls_in_a_row_parse_independently(self, tmp_path):
         # the parser is built once; no flag of one call leaks into the next

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import linalg as sla
@@ -17,8 +20,8 @@ from npr.design import (
     write_design_csv,
 )
 from npr.exceptions import DegenerateDesignError
-from npr.gaussian import fit_ols, predict
-from npr.graph import DirectedGraph, gen_erdos_renyi, propagate, row_normalize
+from npr.gaussian import fit_ols, order_test, predict
+from npr.graph import DirectedGraph, gen_erdos_renyi, propagate, read_edge_list, row_normalize
 from npr.logistic import fit_logistic, predict_proba
 from npr.sim import covariates_for_case, graph_for_case
 
@@ -240,6 +243,27 @@ def test_predictors_reject_a_foreign_or_centered_design(family):
         predictor(fit, build_design(W, X, 2))
     with pytest.raises(ValueError, match="raw"):
         predictor(fit, center(raw))
+
+
+@pytest.mark.parametrize("family", ["gaussian", "logistic", "cox"])
+def test_a_fit_read_back_from_its_report_gives_the_same_bits(family):
+    toy = Path(__file__).parent / "data" / "toy"
+    column = {name: np.loadtxt(toy / f"{name}.csv", skiprows=1) for name in ("response", "binary", "time", "event")}
+    X = read_covariates(toy / "covariates.csv")
+    raw = build_design(row_normalize(read_edge_list(toy / "edges.csv", n_nodes=X.shape[0])), X, 2)
+    if family == "gaussian":
+        fit, predictor = fit_ols(forward_select(center(raw)), column["response"]), predict
+    elif family == "logistic":
+        fit, predictor = fit_logistic(forward_select(raw), column["binary"]), predict_proba
+    else:
+        surv = SurvivalData(time=column["time"], event=column["event"])
+        fit, predictor = fit_cox(forward_select(raw), surv), predict_relative_risk
+    report = json.loads(json.dumps(fit.to_report()))
+    rebuilt = type(fit).from_report(report, "fit.json")
+    assert rebuilt.to_report() == report
+    assert predictor(rebuilt, raw).tobytes() == predictor(fit, raw).tobytes()
+    if family == "gaussian":
+        assert order_test(rebuilt, None, k_max=2).to_dict() == order_test(fit, None, k_max=2).to_dict()
 
 
 def _screen_sweep_design(rng, i):
