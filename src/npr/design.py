@@ -116,14 +116,17 @@ def center_response(y: np.ndarray) -> np.ndarray:
     return y - y.mean()
 
 
-def independent_columns(M: np.ndarray, tol: float) -> list[int]:
+def independent_columns(M: np.ndarray, tol: float, names: list[str] | None = None) -> list[int]:
     """Indices of a maximal numerically independent column subset.
 
-    Columns are scanned left to right; a column is admitted iff the norm of
-    its residual after orthogonal projection onto the already-admitted span
-    exceeds ``tol`` times the column's own norm.  Modified Gram-Schmidt
-    with one re-orthogonalization pass keeps the admitted basis
-    numerically sound.
+    This is npr's one rank rule.  Columns are scanned left to right; a
+    column is admitted iff its residual ratio, the norm of its residual
+    after orthogonal projection onto the already-admitted span over the
+    column's own norm, exceeds ``tol``.  Modified Gram-Schmidt with one
+    re-orthogonalization pass keeps the admitted basis numerically sound.
+    A non-finite value raises ``ValueError`` naming its column,
+    ``names[j]`` or, without ``names``, the index j; it fails the
+    certificate below, so only the scan checks for it.
 
     Fast path: the scan is skipped, and ``range(p)`` returned, when the
     Gram matrix certifies that it would admit every column.  With
@@ -153,7 +156,7 @@ def independent_columns(M: np.ndarray, tol: float) -> list[int]:
     """
     if _gram_certifies(M, tol):
         return list(range(M.shape[1]))
-    return _mgs_columns(M, tol)
+    return _mgs_columns(M, tol, names)
 
 
 def _gram_certifies(M: np.ndarray, tol: float) -> bool:
@@ -172,7 +175,7 @@ def _gram_certifies(M: np.ndarray, tol: float) -> bool:
     return bool(lam - delta >= max(1e-6, (1e3 * tol) ** 2))
 
 
-def _mgs_columns(M: np.ndarray, tol: float) -> list[int]:
+def _mgs_columns(M: np.ndarray, tol: float, names: list[str] | None = None) -> list[int]:
     """The left-to-right modified Gram-Schmidt scan of
     :func:`independent_columns`."""
     n, p = M.shape
@@ -181,6 +184,8 @@ def _mgs_columns(M: np.ndarray, tol: float) -> list[int]:
     kept: list[int] = []
     for idx in range(p):
         v = M[:, idx]
+        if not np.isfinite(v).all():
+            raise ValueError(f"design column {idx if names is None else names[idx]} has a non-finite value")
         norm0 = np.linalg.norm(v)
         if norm0 == 0.0:
             continue
@@ -323,16 +328,7 @@ def forward_select(design: PropagatedDesign, tol: float = DEFAULT_SELECT_TOL) ->
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    M = design.matrix
-    # independent_columns, with the finiteness scan only where the Gram
-    # certificate fails: a finite Gram matrix proves every entry finite
-    if _gram_certifies(M, tol):
-        selected = list(range(M.shape[1]))
-    else:
-        bad = np.flatnonzero(~np.isfinite(M).all(axis=0))
-        if bad.size:
-            raise ValueError(f"design column {design.column_names()[bad[0]]} has a non-finite value")
-        selected = _mgs_columns(M, tol)
+    selected = independent_columns(design.matrix, tol, design.column_names())
     if not selected:
         raise DegenerateDesignError("degenerate design: no independent columns")
     return replace(design, selected=selected)

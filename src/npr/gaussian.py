@@ -126,8 +126,9 @@ def fit_ols(design: PropagatedDesign, y: np.ndarray) -> GaussianFit:
     # arrays are held at once, the caller's design, the gather and Q
     Q, R = _qr(X)
     del X
-    rdiag = np.abs(np.diag(R))
-    if rdiag.min() <= 1e-12 * max(rdiag.max(), 1.0):
+    # each column's residual ratio |R_jj| / ||R[:, j]||, the quantity that
+    # independent_columns screens on, against a floor far below its tol
+    if (np.abs(np.diag(R)) <= 1e-12 * np.linalg.norm(R, axis=0)).any():
         raise SingularMatrixError(
             "selected design is numerically singular; forward selection should prevent this"
         )
