@@ -16,8 +16,8 @@ import numpy as np
 from scipy import linalg as sla
 
 from ._blas import one_thread
-from .design import FitRecord
-from .exceptions import SingularMatrixError
+from .design import OUT_OF_RANGE, FitRecord
+from .exceptions import InputValueError, SingularMatrixError
 
 JITTER = 1e-10
 MAX_HALVINGS = 40
@@ -26,6 +26,8 @@ MAX_HALVINGS = 40
 @one_thread
 def _solve_information(hess: np.ndarray, score: np.ndarray) -> tuple[np.ndarray, bool]:
     """Newton step ``hess^-1 score``, and whether the ridge retry was needed."""
+    if not (np.isfinite(hess).all() and np.isfinite(score).all()):  # products of the covariates overflow
+        raise InputValueError(OUT_OF_RANGE, "covariates")
     try:
         c, low = sla.cho_factor(hess)
         return sla.cho_solve((c, low), score), False

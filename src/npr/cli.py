@@ -1,8 +1,8 @@
 """Command-line interface: fit, test, predict, simulate and evaluate.
 
 Every command writes a JSON report that embeds a run manifest (resolved
-arguments, sha256 digests of all input files, seed, tool version and a
-timestamp block).  All randomness flows from ``--seed``; when the flag is
+arguments, sha256 digests of all input files, a fit report's taken
+without its timestamp block, seed, tool version and a timestamp block).  All randomness flows from ``--seed``; when the flag is
 omitted by a command that needs randomness, a seed is drawn once and
 recorded in the manifest, so reports are always reproducible from their
 own metadata.
@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from .cox import CoxFit, SurvivalData, fit_cox, predict_relative_risk
 from .design import _NUMBER, _report_value, build_design, center, forward_select, read_covariates
-from .exceptions import ModelError
+from .exceptions import InputValueError, ModelError
 from .gaussian import (
     Z_95,
     GaussianFit,
@@ -63,6 +63,16 @@ def _sha256(path) -> str:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             h.update(chunk)
     return "sha256:" + h.hexdigest()
+
+
+def _report_digest(report: dict) -> str:
+    """The digest of a report read as input, taken without its manifest's
+    ``timestamp`` block: two runs of the command that wrote it on the same
+    inputs give the same digest."""
+    manifest = report.get("manifest")
+    if isinstance(manifest, dict):
+        report = {**report, "manifest": {k: v for k, v in manifest.items() if k != "timestamp"}}
+    return "sha256:" + hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
 
 
 class _Run:
@@ -165,10 +175,11 @@ def _load_fit(path):
 
 
 def cmd_test(args) -> None:
-    run = _Run("test", args, ["fit"])
+    run = _Run("test", args, [])
     if not 0.0 < args.alpha < 1.0:
         raise ValueError("--alpha must lie strictly between 0 and 1")
     fit, payload = _load_fit(args.fit)
+    run.input_digests["fit"] = _report_digest(payload)
     if fit.family != "gaussian":
         raise ValueError("order tests require a gaussian-family fit")
     if args.kmax > payload["K"]:
@@ -255,11 +266,12 @@ def cmd_simulate_test(args) -> None:
 
 
 def cmd_eval_auc(args) -> None:
-    run = _Run("eval-auc", args, ["fit", "edges", "covariates", "response"])
+    run = _Run("eval-auc", args, ["edges", "covariates", "response"])
     if args.splits < 2:  # one split has no spread to give an interval
         raise ValueError("--splits must be at least 2")
     run.seed = _resolve_seed(args)
     fit, payload = _load_fit(args.fit)
+    run.input_digests["fit"] = _report_digest(payload)
     if fit.family != "logistic":
         raise ValueError("eval-auc requires a logistic-family fit configuration")
     y = _read_single_column(args.response, "y")
@@ -393,6 +405,10 @@ def main(argv=None) -> int:
     except np.linalg.LinAlgError as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 1
+    except InputValueError as exc:  # prefixed by the files the faulty inputs came from
+        named = " and ".join(str(path) for path in (getattr(args, name, None) for name in exc.inputs) if path)
+        print(f"error: {named}: {exc}" if named else f"error: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

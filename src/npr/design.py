@@ -10,15 +10,17 @@ intercept for the Gaussian family.
 from __future__ import annotations
 
 import csv
+import sys
 from dataclasses import dataclass, replace
 from typing import ClassVar
 
 import numpy as np
 
-from .exceptions import DegenerateDesignError
+from .exceptions import DegenerateDesignError, InputValueError
 from .graph import RowStochasticOperator, _read_csv, propagate
 
 DEFAULT_SELECT_TOL = 1e-8
+OUT_OF_RANGE = "values too large or too small: the fit's numbers do not fit a float in their units"
 
 
 @dataclass(eq=False)
@@ -124,8 +126,10 @@ def independent_columns(M: np.ndarray, tol: float, names: list[str] | None = Non
     after orthogonal projection onto the already-admitted span over the
     column's own norm, exceeds ``tol``.  Modified Gram-Schmidt with one
     re-orthogonalization pass keeps the admitted basis numerically sound.
-    A non-finite value raises ``ValueError`` naming its column,
-    ``names[j]`` or, without ``names``, the index j; it fails the
+    The scan first scales each column by an exact power of two, which
+    leaves every ratio as it is and keeps the norms of any finite column
+    in range.  A non-finite value raises ``InputValueError`` naming its
+    column, ``names[j]`` or, without ``names``, the index j; it fails the
     certificate below, so only the scan checks for it.
 
     Fast path: the scan is skipped, and ``range(p)`` returned, when the
@@ -165,7 +169,8 @@ def _gram_certifies(M: np.ndarray, tol: float) -> bool:
     n, p = M.shape
     if p == 0 or n <= p:
         return False
-    G = M.T @ M
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite G fails the certificate below
+        G = M.T @ M
     diag = G.diagonal()
     if not (np.isfinite(G).all() and diag.min() >= n * np.finfo(np.float64).tiny):
         return False
@@ -184,12 +189,16 @@ def _mgs_columns(M: np.ndarray, tol: float, names: list[str] | None = None) -> l
     kept: list[int] = []
     for idx in range(p):
         v = M[:, idx]
-        if not np.isfinite(v).all():
-            raise ValueError(f"design column {idx if names is None else names[idx]} has a non-finite value")
-        norm0 = np.linalg.norm(v)
-        if norm0 == 0.0:
+        peak = np.abs(v).max(initial=0.0)
+        if not np.isfinite(peak):
+            name = idx if names is None else names[idx]
+            raise InputValueError(f"design column {name} has a non-finite value", "covariates")
+        if peak == 0.0:
             continue
-        r = v.copy()
+        # largest |entry| in [1/2, 1): the squared norm can neither overflow
+        # nor underflow, and on an in-range column the scaling is exact
+        r = np.ldexp(v, -np.frexp(peak)[1])
+        norm0 = np.linalg.norm(r)
         for _ in range(2):  # second pass guards against cancellation
             if n_basis:
                 Q = basis[:, :n_basis]
@@ -227,19 +236,26 @@ def fit_inputs(design: PropagatedDesign, family: str, centered: bool) -> tuple[n
 _NUMBER = {int, float}  # the Python types of a parsed JSON number; true and false are neither
 
 
+def _finite_floats(values) -> bool:
+    """Whether parsed JSON numbers are finite floats: no NaN, infinity or integer past the floats."""
+    return all(abs(v) <= sys.float_info.max for v in values)
+
+
 def _report_value(mapping: dict, key: str, kind, path, name: str):
     """``mapping[key]`` of the fit report read from ``path``, where ``name`` is the key's place in
     the report.  ``kind`` is a set of Python types, one of which the value must have exactly,
-    or the shape ``(p,)`` or ``(p, p)`` of a JSON array of numbers, returned as a float array."""
+    or the shape ``(p,)`` or ``(p, p)`` of a JSON array of numbers, returned as a float array.
+    A number that may be a float must be a finite one."""
     if key not in mapping:
         raise ValueError(f"{path}: not a fit report (missing '{name}')")
     value = mapping[key]
     if isinstance(kind, set):
-        if type(value) in kind:
+        if type(value) in kind and (float not in kind or _finite_floats([value])):
             return value
         raise ValueError(f"{path}: not a fit report (bad '{name}')")
     rows = value if len(kind) == 2 else [value]
-    if not (type(value) is list and all(type(row) is list and set(map(type, row)) <= _NUMBER for row in rows)):
+    if not (type(value) is list
+            and all(type(row) is list and set(map(type, row)) <= _NUMBER and _finite_floats(row) for row in rows)):
         raise ValueError(f"{path}: not a fit report (bad '{name}')")
     if len(value) != kind[0] or any(len(row) != kind[-1] for row in rows):
         raise ValueError(f"{path}: not a fit report ('{name}' does not match the {kind[0]} selected columns)")
@@ -271,8 +287,12 @@ class FitRecord:
 
     def to_report(self) -> dict:
         """This fit's keys of a fit report: ``n``, ``K``, ``d``,
-        ``selected_columns``, ``coefficients`` and the family's block."""
+        ``selected_columns``, ``coefficients`` and the family's block.  A
+        number that is not finite raises ``InputValueError``: its inputs'
+        units are out of floating-point range."""
         estimates, std_errors, block = self._report_block()
+        if not np.isfinite([*estimates, *std_errors, *(v for v in block.values() if type(v) is float)]).all():
+            raise InputValueError(OUT_OF_RANGE, "covariates")
         K = self.provenance[-1][0]
         return {"n": self.n, "K": K, "d": len(self.provenance) // (K + 1), self.family: block,
                 "selected_columns": [int(c) for c in self.selected],

@@ -7,6 +7,17 @@ exit code 2 and the latter to exit code 1.
 """
 
 
+class InputValueError(ValueError):
+    """An input's values cannot be fit: a non-finite value, or values so large
+    or small that a number the fit reports is no float in their units.
+    ``inputs`` names the inputs at fault, ``"covariates"`` or ``"response"``,
+    so that the CLI can name their files."""
+
+    def __init__(self, message: str, *inputs: str):
+        super().__init__(message)
+        self.inputs = inputs
+
+
 class ModelError(Exception):
     """Base class for numerical / model-level failures."""
 

@@ -20,8 +20,8 @@ from scipy import linalg as sla
 from scipy import special
 
 from ._blas import one_thread
-from .design import FitRecord, PropagatedDesign, fit_inputs
-from .exceptions import SingularMatrixError
+from .design import OUT_OF_RANGE, FitRecord, PropagatedDesign, fit_inputs
+from .exceptions import InputValueError, SingularMatrixError
 
 Z_95 = 1.959964  # two-sided 95% normal quantile used for intervals
 
@@ -99,6 +99,17 @@ def _qr(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(A), R
 
 
+def _in_units(values: np.ndarray, exponents, *inputs: str) -> np.ndarray:
+    """``values * 2**exponents``, exactly: a nonzero value that overflows or
+    falls below the normal floats, where its low bits are lost, raises
+    ``InputValueError`` naming ``inputs``."""
+    with np.errstate(over="ignore", under="ignore"):
+        out = np.ldexp(values, exponents)
+    if not (np.isfinite(out) & ((np.abs(out) >= np.finfo(np.float64).tiny) | (values == 0))).all():
+        raise InputValueError(OUT_OF_RANGE, *inputs)
+    return out
+
+
 @one_thread
 def fit_ols(design: PropagatedDesign, y: np.ndarray) -> GaussianFit:
     """Least-squares fit of a centered, forward-selected design.
@@ -114,18 +125,28 @@ def fit_ols(design: PropagatedDesign, y: np.ndarray) -> GaussianFit:
         raise ValueError(f"response has {y.shape[0]} rows, design has {n}")
     if not np.isfinite(y).all():
         bad = int(np.flatnonzero(~np.isfinite(y))[0])
-        raise ValueError(f"response has a non-finite value at row {bad} (0-based)")
+        raise InputValueError(f"response has a non-finite value at row {bad} (0-based)", "response")
     if n <= p:
         raise ValueError("insufficient observations: need more rows than selected columns")
 
     y_mean = float(y.mean())
     yc = y - y_mean
+    peak = np.abs(yc).max()
+    if not np.isfinite(peak):
+        raise InputValueError("response values too large: their mean or spread overflows", "response")
 
+    # the fit runs at unit scale and reports in the inputs' units: yc and each
+    # column of R are scaled by exact powers of two, which moves no bit of an
+    # in-range number, and _in_units scales each reported number back
+    ey = int(np.frexp(peak)[1])
+    yc = np.ldexp(yc, -ey)
     # the gather is a fresh F-ordered copy, factored in place and dropped
     # with Q before the columns are gathered again: at most three n x p
     # arrays are held at once, the caller's design, the gather and Q
     Q, R = _qr(X)
     del X
+    ex = np.frexp(np.abs(R).max(axis=0))[1]
+    R = np.ldexp(R, -ex)
     # each column's residual ratio |R_jj| / ||R[:, j]||, the quantity that
     # independent_columns screens on, against a floor far below its tol
     if (np.abs(np.diag(R)) <= 1e-12 * np.linalg.norm(R, axis=0)).any():
@@ -134,20 +155,22 @@ def fit_ols(design: PropagatedDesign, y: np.ndarray) -> GaussianFit:
         )
     theta = sla.solve_triangular(R, Q.T @ yc)
     del Q
+    r_inv = sla.solve_triangular(R, np.eye(p))
+    xtx_inv = r_inv @ r_inv.T
+    units = ex[:, None] + ex
+    gram = _in_units((R.T @ R) / n, units, "covariates")
+    gram_inverse = _in_units(n * xtx_inv, -units, "covariates")
     # the same F-ordered columns again: the product's bits depend on the layout
-    resid = yc - design.selected_matrix() @ theta
+    resid = yc - design.selected_matrix() @ np.ldexp(theta, -ex)
     rss = float(resid @ resid)
     # an exact fit leaves only rounding residue; snap it to zero so the
     # zero-variance edge case is reported as such downstream
-    if rss <= 1e-28 * max(float(yc @ yc), 1.0):
+    if rss <= 1e-28 * float(yc @ yc):
         rss = 0.0
     sigma2 = rss / (n - p)
-
-    r_inv = sla.solve_triangular(R, np.eye(p))
-    xtx_inv = r_inv @ r_inv.T
-    gram = (R.T @ R) / n
-    gram_inverse = n * xtx_inv
     std_errors = np.sqrt(sigma2 * np.diag(xtx_inv))
+    rss, sigma2 = _in_units(np.array([rss, sigma2]), 2 * ey, "response").tolist()
+    theta, std_errors = _in_units(np.array([theta, std_errors]), ey - ex, "covariates", "response")
 
     means = None
     if design.column_means is not None:

@@ -235,6 +235,18 @@ class TestTwoStageLeastSquares:
             errs.append(abs(est.rho - 0.25))
         assert np.mean(errs) < 0.02
 
+    def test_non_finite_instrument_is_an_input_error(self):
+        # the instrument screen is the design's: a NaN covariate names the
+        # first instrument column it reaches, (1, X, WX, W^2 X)'s column 1
+        rng = np.random.default_rng(18)
+        n = 200
+        W = row_normalize(gen_erdos_renyi(n, rng))
+        X = rng.standard_normal((n, 2))
+        y = gen_lim(W, X, lim_params(rng, rho=0.25), sigma=0.1, seed=rng)
+        X[7, 0] = np.nan
+        with pytest.raises(ValueError, match="design column 1 has a non-finite value"):
+            fit_lim_2sls(W, X, y)
+
     def test_degenerate_nesting_matches_ols(self):
         # with rho = 0 and delta = 0 the spillover scalar is weakly
         # identified (the projected network lag is nearly collinear with

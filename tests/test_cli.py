@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -222,6 +223,36 @@ class TestFitCommand:
         )
         assert code == 2
         assert "response" in capsys.readouterr().err
+
+    def test_rerun_fit_gives_the_same_test_report(self, tmp_path):
+        # test digests the fit report without its manifest's timestamp block
+        fit, out = tmp_path / "fit.json", tmp_path / "test.json"
+        reports = []
+        for _ in range(2):
+            assert run("fit", "--family", "gaussian", "--edges", str(TOY / "edges.csv"),
+                       "--covariates", str(TOY / "covariates.csv"), "--response", str(TOY / "response.csv"),
+                       "--K", "2", "--out", str(fit)) == 0
+            assert run("test", "--fit", str(fit), "--kmax", "1", "--out", str(out)) == 0
+            report = json.loads(out.read_text())
+            del report["manifest"]["timestamp"]
+            reports.append(report)
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("family", ["gaussian", "logistic", "cox"])
+    def test_covariate_whose_squares_overflow_exits_2_naming_the_file(self, tmp_path, capsys, family):
+        # the column screen keeps x1 with one entry at 1e155, but the fit's
+        # sums of its squares overflow
+        lines = (TOY / "covariates.csv").read_text().splitlines()
+        lines[4] = "1e155," + lines[4].split(",")[1]
+        (tmp_path / "x.csv").write_text("\n".join(lines) + "\n")
+        outcome = {"gaussian": ["--response", str(TOY / "response.csv")],
+                   "logistic": ["--response", str(TOY / "binary.csv")],
+                   "cox": ["--time", str(TOY / "time.csv"), "--event", str(TOY / "event.csv")]}[family]
+        out = tmp_path / "o.json"
+        assert run("fit", "--family", family, "--edges", str(TOY / "edges.csv"),
+                   "--covariates", str(tmp_path / "x.csv"), *outcome, "--K", "2", "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'x.csv'}: values too large or too small")
+        assert not out.exists()
 
     def test_oversized_node_id_exits_2_naming_the_line(self, tmp_path, capsys):
         lines = (TOY / "edges.csv").read_text().splitlines()
@@ -568,11 +599,14 @@ class TestMain:
              " ('gaussian.gram' does not match the 6 selected columns)"),
             (golden_fit(gaussian=gaussian_block(gram_inverse=[row[:5] for row in gaussian_block()["gram_inverse"]])),
              " ('gaussian.gram_inverse' does not match the 6 selected columns)"),
+            (golden_fit(coefficients=[{**golden_fit()["coefficients"][0], "estimate": 10 ** 400},
+                                      *golden_fit()["coefficients"][1:]]),
+             " (bad 'coefficients[0].estimate')"),
         ],
         ids=["list", "string", "no family", "no family block", "unknown family", "family of a list type",
              "selected column out of range", "selected column past the design", "one coefficient removed",
              "null column means", "short column means", "gram a string", "gram missing a row",
-             "gram inverse rows too short"],
+             "gram inverse rows too short", "estimate past the floats"],
     )
     def test_fit_file_of_the_wrong_shape_exits_2(self, tmp_path, capsys, command, payload, reason):
         fit = tmp_path / "fit.json"
@@ -721,6 +755,65 @@ class TestMain:
         assert args[1]["command"] == "simulate" and "family" not in args[1] and "K" not in args[1]
         assert (args[2]["K"], args[2]["tol"]) == (8, 1e-8)
         assert not {"case", "setting", "reps", "seed"} & set(args[2])
+
+
+class TestUnits:
+    """A fit in other units: the toy inputs with y, or one covariate column,
+    scaled by 2^k."""
+
+    @staticmethod
+    def fit(directory: Path, family: str, X: np.ndarray, y: np.ndarray) -> tuple[int, str, str | None]:
+        """Exit code, stderr and report text of ``npr fit --K 2`` on X and y written to ``directory``."""
+        write_rows(directory / "x.csv", ["x1", "x2"], [[repr(a), repr(b)] for a, b in X.tolist()])
+        write_rows(directory / "y.csv", ["y"], [[repr(v)] for v in y.tolist()])
+        outcome = (["--time", str(TOY / "time.csv"), "--event", str(TOY / "event.csv")] if family == "cox"
+                   else ["--response", str(directory / "y.csv")])
+        out = directory / "fit.json"
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = run("fit", "--family", family, "--edges", str(TOY / "edges.csv"),
+                       "--covariates", str(directory / "x.csv"), *outcome, "--K", "2", "--out", str(out))
+        return code, err.getvalue(), out.read_text() if out.exists() else None
+
+    @given(data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_a_unit_scaling_scales_the_fit_exactly_or_exits_2(self, data):
+        family = data.draw(st.sampled_from(["gaussian", "logistic", "cox"]))
+        scaled = data.draw(st.sampled_from(["y", 0, 1] if family == "gaussian" else [0, 1]))
+        k = data.draw(st.one_of(st.integers(-64, 64), st.integers(-1100, 1100)))
+        X = np.loadtxt(TOY / "covariates.csv", delimiter=",", skiprows=1)
+        y = np.loadtxt(TOY / ("binary.csv" if family == "logistic" else "response.csv"), delimiter=",", skiprows=1)
+        Xk, yk = X.copy(), y
+        with np.errstate(over="ignore", under="ignore"):
+            if scaled == "y":
+                yk = np.ldexp(y, k)
+            else:
+                Xk[:, scaled] = np.ldexp(X[:, scaled], k)
+            # a scaling that overflows or loses bits gives other inputs
+            exact = np.array_equal(np.ldexp(yk, -k), y) if scaled == "y" else np.array_equal(
+                np.ldexp(Xk[:, scaled], -k), X[:, scaled])
+        with tempfile.TemporaryDirectory() as tmp:
+            base = json.loads(self.fit(Path(tmp), family, X, y)[2])
+            code, err, text = self.fit(Path(tmp), family, Xk, yk)
+        assert "Traceback" not in err
+        if code == 1:  # only the Newton fits may fail as models, on columns too small to invert
+            assert family != "gaussian" and scaled != "y" and k < 0
+            return
+        if code == 2:
+            assert str(Path(tmp) / ("y.csv" if scaled == "y" else "x.csv")) in err
+            return
+        assert code == 0
+        fit = json.loads(text, parse_constant=lambda name: pytest.fail(f"{name} in a fit report"))
+        if not exact:
+            return
+        assert fit["selected_columns"] == base["selected_columns"]
+        if family != "gaussian":
+            return
+        for got, want in zip(fit["coefficients"], base["coefficients"]):
+            e = k if scaled == "y" else -k * (want["covariate"] == scaled)
+            assert (got["estimate"], got["std_error"]) == (
+                math.ldexp(want["estimate"], e), math.ldexp(want["std_error"], e))
+        assert fit["gaussian"]["rss"] == math.ldexp(base["gaussian"]["rss"], 2 * k * (scaled == "y"))
+        assert [(t["t"], t["p"]) for t in fit["t_statistics"]] == [(t["t"], t["p"]) for t in base["t_statistics"]]
 
 
 class TestEvalAuc:

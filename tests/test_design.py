@@ -168,6 +168,33 @@ class TestForwardSelect:
             with pytest.raises(ValueError, match=f"design column {name} has a non-finite value"):
                 forward_select(design)
 
+    @pytest.mark.parametrize("k", [-1000, -600, 600, 1000])
+    def test_a_column_at_any_finite_scale_gets_the_same_decision(self, k):
+        # columns 0 and 2 of the scan's fallback (n <= p fails the
+        # certificate) scaled by 2^k: the squared norm of a column at 2^1000
+        # overflows and one at 2^-600 underflows, but the scan scales each
+        # column back by a power of two first
+        rng = np.random.default_rng(12)
+        M = rng.standard_normal((5, 7))
+        M[:, 3] = M[:, 0] - M[:, 1]
+        assert not _gram_certifies(M, DEFAULT_SELECT_TOL)
+        kept = independent_columns(M, DEFAULT_SELECT_TOL)
+        assert kept == [0, 1, 2, 4, 5]
+        scaled = M.copy()
+        scaled[:, [0, 2]] = np.ldexp(M[:, [0, 2]], k)
+        assert independent_columns(scaled, DEFAULT_SELECT_TOL) == kept
+
+    def test_one_huge_entry_keeps_its_column(self):
+        # an entry at 1e155 overflows the Gram matrix; the column it dominates
+        # is still independent of the others
+        rng = np.random.default_rng(13)
+        design = build_design(*random_setup(rng), 1)
+        M = design.matrix.copy()
+        M[4, 0] = 1e155
+        assert not _gram_certifies(M, DEFAULT_SELECT_TOL)
+        selected = forward_select(PropagatedDesign(matrix=M, provenance=design.provenance)).selected
+        assert selected == forward_select(design).selected == list(range(M.shape[1]))
+
     def test_selected_submatrix_nonsingular_vs_svd_oracle(self):
         rng = np.random.default_rng(9)
         for _ in range(10):

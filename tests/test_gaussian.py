@@ -10,6 +10,7 @@ from scipy import stats
 
 from npr import gaussian
 from npr.design import PropagatedDesign, build_design, center, forward_select
+from npr.exceptions import InputValueError, SingularMatrixError
 from npr.gaussian import (
     _qr,
     fit_ols,
@@ -91,6 +92,49 @@ class TestFitOls:
         )
         with pytest.raises(ValueError, match="insufficient"):
             fit_ols(design, np.zeros(4))
+
+    @pytest.mark.parametrize("k", [0, -300, 300])
+    def test_singular_selected_design_raises(self, k):
+        # a duplicate column selected by hand: its residual ratio
+        # |R_jj| / ||R[:, j]|| is at rounding level in any units
+        rng = np.random.default_rng(6)
+        M = rng.standard_normal((40, 3))
+        M[:, 2] = np.ldexp(3.0 * M[:, 0], k)
+        design = PropagatedDesign(matrix=M - M.mean(axis=0), provenance=[(0, j) for j in range(3)],
+                                  selected=[0, 1, 2], centered=True)
+        with pytest.raises(SingularMatrixError, match="numerically singular"):
+            fit_ols(design, rng.standard_normal(40))
+
+    @pytest.mark.parametrize("k", [-400, -40, 40, 400])
+    def test_a_column_in_other_units_scales_only_its_own_coefficient(self, k):
+        rng = np.random.default_rng(7)
+        design, y, _ = fitted_random(rng)
+        scaled = replace(design, matrix=design.matrix.copy())
+        j = design.selected[1]
+        scaled.matrix[:, j] = np.ldexp(design.matrix[:, j], k)
+        base, fit = fit_ols(design, y), fit_ols(scaled, y)
+        e = np.zeros(len(design.selected), dtype=int)
+        e[1] = -k
+        assert np.array_equal(fit.theta_hat, np.ldexp(base.theta_hat, e))
+        assert np.array_equal(fit.std_errors, np.ldexp(base.std_errors, e))
+        assert fit.rss == base.rss
+
+    @pytest.mark.parametrize("k", [-500, -50, 50, 500])
+    def test_a_response_in_other_units_scales_the_fit_exactly(self, k):
+        rng = np.random.default_rng(8)
+        design, y, _ = fitted_random(rng)
+        base, fit = fit_ols(design, y), fit_ols(design, np.ldexp(y, k))
+        assert np.array_equal(fit.theta_hat, np.ldexp(base.theta_hat, k))
+        assert np.array_equal(fit.std_errors, np.ldexp(base.std_errors, k))
+        assert (fit.rss, fit.sigma2_hat) == (math.ldexp(base.rss, 2 * k), math.ldexp(base.sigma2_hat, 2 * k))
+
+    @pytest.mark.parametrize("k", [-600, 600])
+    def test_a_response_whose_rss_is_no_float_is_an_input_error(self, k):
+        rng = np.random.default_rng(8)
+        design, y, _ = fitted_random(rng)
+        with pytest.raises(InputValueError) as exc:
+            fit_ols(design, np.ldexp(y, k))
+        assert exc.value.inputs == ("response",)
 
     def test_predict_reproduces_fitted_values(self):
         rng = np.random.default_rng(4)
