@@ -538,6 +538,7 @@ class TestSimulateCommands:
         "name, argv",
         [
             ("simulate_case1_setting2", ["simulate", "--case", "1", "--setting", "2", "--n", "1000", "--seed", "1201"]),
+            ("simulate_case2_setting3", ["simulate", "--case", "2", "--setting", "3", "--n", "1000", "--seed", "1204"]),
             ("simulate_case2_setting4", ["simulate", "--case", "2", "--setting", "4", "--n", "1000", "--seed", "1202"]),
             ("simulate_case3_setting1", ["simulate", "--case", "3", "--setting", "1", "--n", "1000", "--seed", "1203"]),
             ("simulate_test_case1", ["simulate-test", "--case", "1", "--nulls", "2", "--n", "3000", "--seed", "1211"]),
