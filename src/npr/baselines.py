@@ -1,18 +1,27 @@
 """Spillover-model data generators and the two-stage least squares baseline.
 
-The first-order model solves ``(I - rho W) Y = alpha 1 + X beta + WX delta + eps``
-and the second-order variant adds a ``W^2`` autoregressive term.  Both are
-solved by fixed-point (Neumann) iteration, which contracts because W is
+The linear-in-means model with q network lags of the response solves
+``(I - sum_m rho_m W^m) Y = alpha 1 + sum_s W^s X gamma_s + eps`` (m = 1..q,
+s = 0..q).  The first-order model (:class:`LimParams`) writes its covariate
+terms as ``X beta + W(X delta)``; the second-order model
+(:class:`Lim2Params`) as ``X gamma1 + WX gamma2 + W^2 X gamma3``.  Each params
+class supplies only its ``rhos``, its covariate terms and how it reads its
+coefficients off the 2SLS estimate; one generator, reduced form,
+structural predictor and 2SLS fit serve every order.  The model is solved
+by fixed-point (Neumann) iteration, which contracts because W is
 row-substochastic and the spillover coefficients are restricted to the
 stable region.  Closed-form propagation coefficients of the implied
-infinite series are provided for both models, and a standard spatial 2SLS
+infinite series are provided for both orders, and a standard spatial 2SLS
 estimator acts as the fitted competitor in the simulation studies.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy import sparse
@@ -35,12 +44,25 @@ class LimParams:
     beta: np.ndarray
     delta: np.ndarray
     alpha: float = 0.0
+    order: ClassVar[int] = 1
 
     def __post_init__(self):
         object.__setattr__(self, "beta", np.asarray(self.beta, dtype=np.float64).ravel())
         object.__setattr__(self, "delta", np.asarray(self.delta, dtype=np.float64).ravel())
         if self.beta.shape != self.delta.shape:
             raise ValueError("beta and delta must have the same length")
+
+    @property
+    def rhos(self) -> tuple[float, ...]:
+        return (self.rho,)
+
+    def covariate_terms(self, W: RowStochasticOperator, X: np.ndarray) -> list[np.ndarray]:
+        """``X beta`` and ``W(X delta)``, in summation order."""
+        return [X @ self.beta, W.apply(X @ self.delta)]
+
+    @classmethod
+    def _from_2sls(cls, alpha: float, blocks: list[np.ndarray], rhos: list[float]) -> LimParams:
+        return cls(alpha=alpha, beta=blocks[0], delta=blocks[1], rho=rhos[0])
 
 
 @dataclass(frozen=True)
@@ -53,6 +75,7 @@ class Lim2Params:
     gamma2: np.ndarray
     gamma3: np.ndarray
     alpha: float = 0.0
+    order: ClassVar[int] = 2
 
     def __post_init__(self):
         for name in ("gamma1", "gamma2", "gamma3"):
@@ -60,16 +83,48 @@ class Lim2Params:
         if not (self.gamma1.shape == self.gamma2.shape == self.gamma3.shape):
             raise ValueError("gamma vectors must share a common length")
 
+    @property
+    def rhos(self) -> tuple[float, ...]:
+        return (self.rho1, self.rho2)
 
-def _neumann_solve(apply_ar, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``(I - A) y = rhs`` by iterating ``y <- rhs + A y``.
+    def covariate_terms(self, W: RowStochasticOperator, X: np.ndarray) -> list[np.ndarray]:
+        """``X gamma1``, ``WX gamma2`` and ``W^2 X gamma3``, in summation order."""
+        wx = W.apply(X)
+        return [X @ self.gamma1, wx @ self.gamma2, W.apply(wx) @ self.gamma3]
 
-    ``apply_ar(y)`` evaluates ``A y``.  Converges geometrically whenever
-    the autoregressive part is a contraction; errors out otherwise.
+    @classmethod
+    def _from_2sls(cls, alpha: float, blocks: list[np.ndarray], rhos: list[float]) -> Lim2Params:
+        return cls(alpha=alpha, gamma1=blocks[0], gamma2=blocks[1], gamma3=blocks[2], rho1=rhos[0], rho2=rhos[1])
+
+
+def _powers(W: RowStochasticOperator, a: np.ndarray, m: int) -> list[np.ndarray]:
+    """``[a, Wa, ..., W^m a]``."""
+    out = [a]
+    for _ in range(m):
+        out.append(W.apply(out[-1]))
+    return out
+
+
+def _lag_terms(W: RowStochasticOperator, rhos, y: np.ndarray) -> list[np.ndarray]:
+    """``rho_m W^m y`` for m = 1..q."""
+    return [rho * wy for rho, wy in zip(rhos, _powers(W, y, len(rhos))[1:])]
+
+
+def _covariate_sum(W: RowStochasticOperator, X: np.ndarray, params) -> np.ndarray:
+    """``alpha + covariate terms``, summed left to right."""
+    return functools.reduce(operator.add, params.covariate_terms(W, X), params.alpha)
+
+
+def _neumann_solve(W: RowStochasticOperator, rhos, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``(I - sum_m rho_m W^m) y = rhs`` by iterating ``y <- rhs + A y``
+    with ``A y = sum_m rho_m W^m y``.
+
+    Converges geometrically whenever the autoregressive part is a
+    contraction; errors out otherwise.
     """
     y = rhs.copy()
     for _ in range(NEUMANN_MAX_TERMS):
-        ay = apply_ar(y)
+        ay = functools.reduce(operator.add, _lag_terms(W, rhos, y))
         resid = np.abs(y - ay - rhs).max()
         if resid < NEUMANN_TOL:
             return y
@@ -79,43 +134,26 @@ def _neumann_solve(apply_ar, rhs: np.ndarray) -> np.ndarray:
     )
 
 
-def gen_lim(W: RowStochasticOperator, X: np.ndarray, params: LimParams, sigma: float, seed=None) -> np.ndarray:
-    """Draw a response vector from the first-order spillover model.
+def gen_lim(W: RowStochasticOperator, X: np.ndarray, params: LimParams | Lim2Params, sigma: float,
+            seed=None) -> np.ndarray:
+    """Draw a response vector from the spillover model of the parameters' order.
 
-    Requires ``|rho| < 1`` so the series converges for the row-normalized
-    operator.  With ``sigma == 0`` the output is the deterministic solution.
+    Requires ``sum_m |rho_m| < 1`` so the series converges for the
+    row-normalized operator.  With ``sigma == 0`` the output is the
+    deterministic solution.
     """
-    if abs(params.rho) >= 1.0:
-        raise ValueError("|rho| must be < 1 for a stable first-order model")
+    if sum(abs(rho) for rho in params.rhos) >= 1.0:
+        raise ValueError(f"sum of |rho_m| over {params.rhos} must be < 1 for a stable model")
     X = np.asarray(X, dtype=np.float64)
     n = W.n_nodes
     if X.shape[0] != n:
         raise ValueError("X row count must match the operator")
     rng = _as_rng(seed)
     eps = sigma * rng.standard_normal(n) if sigma else np.zeros(n)
-    rhs = params.alpha + X @ params.beta + W.apply(X @ params.delta) + eps
-    return _neumann_solve(lambda y: params.rho * W.apply(y), rhs)
+    return _neumann_solve(W, params.rhos, _covariate_sum(W, X, params) + eps)
 
 
-def gen_lim2(W: RowStochasticOperator, X: np.ndarray, params: Lim2Params, sigma: float, seed=None) -> np.ndarray:
-    """Draw a response from the second-order spillover model
-    (stable region ``|rho1| + |rho2| < 1``)."""
-    if abs(params.rho1) + abs(params.rho2) >= 1.0:
-        raise ValueError("|rho1| + |rho2| must be < 1 for a stable second-order model")
-    X = np.asarray(X, dtype=np.float64)
-    n = W.n_nodes
-    if X.shape[0] != n:
-        raise ValueError("X row count must match the operator")
-    rng = _as_rng(seed)
-    eps = sigma * rng.standard_normal(n) if sigma else np.zeros(n)
-    wx = W.apply(X)
-    rhs = params.alpha + X @ params.gamma1 + wx @ params.gamma2 + W.apply(wx) @ params.gamma3 + eps
-
-    def apply_ar(y):
-        wy = W.apply(y)
-        return params.rho1 * wy + params.rho2 * W.apply(wy)
-
-    return _neumann_solve(apply_ar, rhs)
+gen_lim2 = gen_lim
 
 
 def lambda_series_lim(params: LimParams, k: int) -> np.ndarray:
@@ -214,6 +252,25 @@ def _two_stage_ls(Z: np.ndarray, H: np.ndarray, y: np.ndarray, rows=None) -> np.
     return theta
 
 
+def _fit_2sls(cls, W: RowStochasticOperator, X: np.ndarray, y: np.ndarray, rows):
+    """2SLS estimate of the model of ``cls.order`` q: regressors
+    ``(1, X, ..., W^q X, Wy, ..., W^q y)`` instrumented by
+    ``(1, X, ..., W^(q+1) X)``."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64).ravel()
+    n, d = X.shape
+    if y.shape[0] != n:
+        raise ValueError("response length must match X rows")
+    q = cls.order
+    ones = np.ones(n)
+    xs = _powers(W, X, q + 1)
+    Z = np.column_stack([ones, *xs[:-1], *_powers(W, y, q)[1:]])
+    H = np.column_stack([ones, *xs])
+    theta = _two_stage_ls(Z, H, y, rows)
+    blocks = [theta[1 + s * d:1 + (s + 1) * d] for s in range(q + 1)]
+    return cls._from_2sls(float(theta[0]), blocks, [float(rho) for rho in theta[-q:]])
+
+
 def fit_lim_2sls(W: RowStochasticOperator, X: np.ndarray, y: np.ndarray, rows=None) -> LimParams:
     """Instrumental-variable estimate of the first-order spillover model.
 
@@ -222,68 +279,24 @@ def fit_lim_2sls(W: RowStochasticOperator, X: np.ndarray, y: np.ndarray, rows=No
     Network lags always use the full graph; when ``rows`` is given only
     those rows enter the estimation.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64).ravel()
-    n, d = X.shape
-    if y.shape[0] != n:
-        raise ValueError("response length must match X rows")
-    ones = np.ones(n)
-    wx = W.apply(X)
-    wy = W.apply(y)
-    Z = np.column_stack([ones, X, wx, wy])
-    H = np.column_stack([ones, X, wx, W.apply(wx)])
-    theta = _two_stage_ls(Z, H, y, rows)
-    return LimParams(
-        alpha=float(theta[0]),
-        beta=theta[1:1 + d],
-        delta=theta[1 + d:1 + 2 * d],
-        rho=float(theta[-1]),
-    )
+    return _fit_2sls(LimParams, W, X, y, rows)
 
 
 def fit_lim2_2sls(W: RowStochasticOperator, X: np.ndarray, y: np.ndarray, rows=None) -> Lim2Params:
     """Second-order analog of :func:`fit_lim_2sls` with two network lags of
     the response, instrumented by covariates propagated up to three steps."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64).ravel()
-    n, d = X.shape
-    if y.shape[0] != n:
-        raise ValueError("response length must match X rows")
-    ones = np.ones(n)
-    wx = W.apply(X)
-    w2x = W.apply(wx)
-    wy = W.apply(y)
-    w2y = W.apply(wy)
-    Z = np.column_stack([ones, X, wx, w2x, wy, w2y])
-    H = np.column_stack([ones, X, wx, w2x, W.apply(w2x)])
-    theta = _two_stage_ls(Z, H, y, rows)
-    return Lim2Params(
-        alpha=float(theta[0]),
-        gamma1=theta[1:1 + d],
-        gamma2=theta[1 + d:1 + 2 * d],
-        gamma3=theta[1 + 2 * d:1 + 3 * d],
-        rho1=float(theta[-2]),
-        rho2=float(theta[-1]),
-    )
+    return _fit_2sls(Lim2Params, W, X, y, rows)
 
 
-def _ar_solve_general(W: RowStochasticOperator, rhos: list[float], rhs: np.ndarray) -> np.ndarray:
-    """Solve ``(I - sum_m rhos[m] W^(m+1)) y = rhs`` for arbitrary coefficients.
+def _ar_solve_general(W: RowStochasticOperator, rhos, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``(I - sum_m rho_m W^m) y = rhs`` for arbitrary coefficients.
 
     Uses the fixed-point iteration inside the contraction region and falls
     back to a direct sparse solve otherwise (fitted coefficients from a
     misspecified model may leave the stable region).
     """
     if sum(abs(r) for r in rhos) < 0.999:
-        def apply_ar(y):
-            acc = np.zeros_like(y)
-            wy = y
-            for r in rhos:
-                wy = W.apply(wy)
-                acc += r * wy
-            return acc
-
-        return _neumann_solve(apply_ar, rhs)
+        return _neumann_solve(W, rhos, rhs)
     A = sparse.identity(W.n_nodes, format="csr")
     power = sparse.identity(W.n_nodes, format="csr")
     for r in rhos:
@@ -292,37 +305,21 @@ def _ar_solve_general(W: RowStochasticOperator, rhos: list[float], rhs: np.ndarr
     return spla.spsolve(A.tocsc(), rhs)
 
 
-def lim_reduced_form(W: RowStochasticOperator, X: np.ndarray, params: LimParams) -> np.ndarray:
-    """Expected response surface implied by first-order parameters:
-    ``(I - rho W)^-1 (alpha 1 + X beta + WX delta)``."""
+def lim_reduced_form(W: RowStochasticOperator, X: np.ndarray, params: LimParams | Lim2Params) -> np.ndarray:
+    """Expected response surface implied by the parameters:
+    ``(I - sum_m rho_m W^m)^-1 (alpha 1 + covariate terms)``."""
     X = np.asarray(X, dtype=np.float64)
-    rhs = params.alpha + X @ params.beta + W.apply(X @ params.delta)
-    return _ar_solve_general(W, [params.rho], rhs)
+    return _ar_solve_general(W, params.rhos, _covariate_sum(W, X, params))
 
 
-def lim_structural(W: RowStochasticOperator, X: np.ndarray, y_obs: np.ndarray, params: LimParams) -> np.ndarray:
-    """One-step fitted values using the observed network lag of the response."""
+def lim_structural(W: RowStochasticOperator, X: np.ndarray, y_obs: np.ndarray,
+                   params: LimParams | Lim2Params) -> np.ndarray:
+    """One-step fitted values using the observed network lags of the
+    response: ``alpha + sum_m rho_m W^m y_obs + covariate terms``."""
     X = np.asarray(X, dtype=np.float64)
-    return params.alpha + params.rho * W.apply(np.asarray(y_obs, dtype=np.float64)) + X @ params.beta + W.apply(X @ params.delta)
+    terms = _lag_terms(W, params.rhos, np.asarray(y_obs, dtype=np.float64)) + params.covariate_terms(W, X)
+    return functools.reduce(operator.add, terms, params.alpha)
 
 
-def lim2_reduced_form(W: RowStochasticOperator, X: np.ndarray, params: Lim2Params) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    wx = W.apply(X)
-    rhs = params.alpha + X @ params.gamma1 + wx @ params.gamma2 + W.apply(wx) @ params.gamma3
-    return _ar_solve_general(W, [params.rho1, params.rho2], rhs)
-
-
-def lim2_structural(W: RowStochasticOperator, X: np.ndarray, y_obs: np.ndarray, params: Lim2Params) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    y_obs = np.asarray(y_obs, dtype=np.float64)
-    wx = W.apply(X)
-    wy = W.apply(y_obs)
-    return (
-        params.alpha
-        + params.rho1 * wy
-        + params.rho2 * W.apply(wy)
-        + X @ params.gamma1
-        + wx @ params.gamma2
-        + W.apply(wx) @ params.gamma3
-    )
+lim2_reduced_form = lim_reduced_form
+lim2_structural = lim_structural

@@ -31,16 +31,7 @@ import numpy as np
 
 from . import baselines
 from ._blas import all_one_thread
-from .baselines import (
-    Lim2Params,
-    LimParams,
-    fit_lim2_2sls,
-    fit_lim_2sls,
-    gen_cohesion,
-    gen_lim,
-    gen_lim2,
-    gen_npr,
-)
+from .baselines import Lim2Params, LimParams, fit_lim2_2sls, fit_lim_2sls, gen_cohesion, gen_lim, gen_npr
 from .design import build_design, center, forward_select, DEFAULT_SELECT_TOL
 from .gaussian import Z_95, fit_ols, order_test, predict
 from .graph import DirectedGraph, _as_rng, gen_erdos_renyi, gen_powerlaw, gen_sbm, row_normalize
@@ -180,14 +171,12 @@ def draw_setting_params(setting: int, d: int, rng: np.random.Generator):
 def generate_response(setting: int, W, X, params, rng: np.random.Generator, labels=None):
     """Response draw for one replicate; returns ``(y, aux)`` where aux
     carries the realized node effects for the community-effect setting."""
-    if setting == 1:
-        return gen_lim(W, X, params, NOISE_SIGMA, rng), {}
-    if setting == 2:
-        return gen_lim2(W, X, params, NOISE_SIGMA, rng), {}
     if setting == 3:
         return gen_npr(W, X, params, NOISE_SIGMA, rng), {}
-    y, mu = gen_cohesion(labels, X, COHESION_ETAS, COHESION_MU_VAR, params["beta"], NOISE_SIGMA, rng)
-    return y, {"mu": mu}
+    if setting == 4:
+        y, mu = gen_cohesion(labels, X, COHESION_ETAS, COHESION_MU_VAR, params["beta"], NOISE_SIGMA, rng)
+        return y, {"mu": mu}
+    return gen_lim(W, X, params, NOISE_SIGMA, rng), {}
 
 
 def row_splits(n: int, frac: float, rng: np.random.Generator, count: int):
@@ -240,15 +229,18 @@ def _npr_fit(design_raw, y, rows, tol):
     return fit_ols(selected, np.asarray(y)[rows])
 
 
+def _cohesion_mean(X, params, aux):
+    """Setting 4's response less its noise: the realized node effects plus ``X beta``."""
+    return aux["mu"] + X @ params["beta"]
+
+
 def _oracle_structural(setting, W, X, y, params, aux):
     """In-sample predictions with the true generating parameters."""
-    if setting == 1:
-        return baselines.lim_structural(W, X, y, params)
-    if setting == 2:
-        return baselines.lim2_structural(W, X, y, params)
     if setting == 3:
         return gen_npr(W, X, params, sigma=0.0)
-    return aux["mu"] + X @ params["beta"]
+    if setting == 4:
+        return _cohesion_mean(X, params, aux)
+    return baselines.lim_structural(W, X, y, params)
 
 
 def _competitor_fit(name, W, X, y, rows):
@@ -256,16 +248,19 @@ def _competitor_fit(name, W, X, y, rows):
     return fit(W, X, y, rows=rows)
 
 
-def _competitor_structural(name, W, X, y, params):
-    if name == "lim":
-        return baselines.lim_structural(W, X, y, params)
-    return baselines.lim2_structural(W, X, y, params)
+def _competitor(name, W, X, y, params, aux, train):
+    """The competitor's in-sample fitted values, and its out-of-sample
+    predictor ``(W, X, aux) -> predictions`` for every node of a network.
 
-
-def _competitor_reduced(name, W, X, params):
-    if name == "lim":
-        return baselines.lim_reduced_form(W, X, params)
-    return baselines.lim2_reduced_form(W, X, params)
+    The oracle knows setting 4's node effects; a linear-in-means
+    competitor fits by 2SLS on all rows (structural fitted values) and on
+    the training rows (reduced-form predictions).
+    """
+    if name == "oracle":
+        return _cohesion_mean(X, params, aux), lambda W, X, aux: _cohesion_mean(X, params, aux)
+    fitted = baselines.lim_structural(W, X, y, _competitor_fit(name, W, X, y, rows=None))
+    trained = _competitor_fit(name, W, X, y, rows=train)
+    return fitted, lambda W, X, aux: baselines.lim_reduced_form(W, X, trained)
 
 
 def _prediction_replicate(cfg: ScenarioConfig, seed: np.random.SeedSequence) -> dict:
@@ -275,7 +270,6 @@ def _prediction_replicate(cfg: ScenarioConfig, seed: np.random.SeedSequence) -> 
     X = covariates_for_case(cfg.case, cfg.n, cfg.d, rng)
     params = draw_setting_params(cfg.setting, cfg.d, rng)
     y, aux = generate_response(cfg.setting, W, X, params, rng, labels)
-    competitor = cfg.resolved_competitor()
 
     design = build_design(W, X, cfg.k_fit)
 
@@ -283,30 +277,11 @@ def _prediction_replicate(cfg: ScenarioConfig, seed: np.random.SeedSequence) -> 
     fit_full = _npr_fit(design, y, np.arange(cfg.n), cfg.select_tol)
     rmse_npr_in = math.sqrt(fit_full.rss / cfg.n)
     rmse_oracle_in = _rmse(y, _oracle_structural(cfg.setting, W, X, y, params, aux))
-    if competitor == "oracle":
-        rmse_comp_in = rmse_oracle_in
-    elif competitor == "self":
-        rmse_comp_in = rmse_npr_in
-    else:
-        comp_full = _competitor_fit(competitor, W, X, y, rows=None)
-        rmse_comp_in = _rmse(y, _competitor_structural(competitor, W, X, y, comp_full))
 
     # row split on the shared network (features propagated on the full graph)
     train, test, _ = split_scenarios(graph, cfg.train_frac, "linked", rng)
     fit_train = _npr_fit(design, y, train, cfg.select_tol)
-    pred_linked = predict(fit_train, design.subset_rows(test))
-    rmse_npr_linked = _rmse(y[test], pred_linked)
-
-    if competitor == "oracle":
-        oracle_all = aux["mu"] + X @ params["beta"]
-        rmse_comp_linked = _rmse(y[test], oracle_all[test])
-        comp_train = None
-    elif competitor == "self":
-        rmse_comp_linked = rmse_npr_linked
-        comp_train = None
-    else:
-        comp_train = _competitor_fit(competitor, W, X, y, rows=train)
-        rmse_comp_linked = _rmse(y[test], _competitor_reduced(competitor, W, X, comp_train)[test])
+    rmse_npr_linked = _rmse(y[test], predict(fit_train, design.subset_rows(test)))
 
     # isolated scenario: an independent same-size network with fresh
     # covariates and noise, scored on a fresh test set of the split size
@@ -317,13 +292,15 @@ def _prediction_replicate(cfg: ScenarioConfig, seed: np.random.SeedSequence) -> 
     design_t = build_design(Wt, Xt, cfg.k_fit)
     rows_t = np.sort(rng.permutation(cfg.n)[:test.size])
     rmse_npr_iso = _rmse(yt[rows_t], predict(fit_train, design_t.subset_rows(rows_t)))
-    if competitor == "oracle":
-        rmse_comp_iso = _rmse(yt[rows_t], (aux_t["mu"] + Xt @ params["beta"])[rows_t])
-    elif competitor == "self":
-        rmse_comp_iso = rmse_npr_iso
+
+    competitor = cfg.resolved_competitor()
+    if competitor == "self":
+        rmse_comp_in, rmse_comp_linked, rmse_comp_iso = rmse_npr_in, rmse_npr_linked, rmse_npr_iso
     else:
-        pred_iso = _competitor_reduced(competitor, Wt, Xt, comp_train)[rows_t]
-        rmse_comp_iso = _rmse(yt[rows_t], pred_iso)
+        fitted, predictor = _competitor(competitor, W, X, y, params, aux, train)
+        rmse_comp_in = _rmse(y, fitted)
+        rmse_comp_linked = _rmse(y[test], predictor(W, X, aux)[test])
+        rmse_comp_iso = _rmse(yt[rows_t], predictor(Wt, Xt, aux_t)[rows_t])
 
     return {
         "kappa1": rmse_npr_in / rmse_oracle_in,
