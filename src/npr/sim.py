@@ -88,6 +88,8 @@ class ScenarioConfig:
             raise ValueError("train_frac must lie strictly between 0 and 1")
         if self.competitor is not None and self.competitor not in ("lim", "lim2", "oracle", "self"):
             raise ValueError(f"unknown competitor {self.competitor!r}")
+        if self.competitor == "oracle" and self.setting != 4:
+            raise ValueError(f"competitor 'oracle' needs setting 4 (community effects), not setting {self.setting}")
 
     def resolved_competitor(self) -> str:
         return self.competitor or _DEFAULT_COMPETITOR[self.setting]

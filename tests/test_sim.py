@@ -30,6 +30,9 @@ class TestScenarioConfig:
             ScenarioConfig(case=1, setting=1, n=100, train_frac=1.0)
         with pytest.raises(ValueError, match="competitor"):
             ScenarioConfig(case=1, setting=1, n=100, competitor="gnn")
+        for setting in (1, 2, 3):  # only setting 4's oracle predicts out of sample
+            with pytest.raises(ValueError, match=f"competitor 'oracle' needs setting 4 .*not setting {setting}"):
+                ScenarioConfig(case=1, setting=setting, n=100, competitor="oracle")
 
     def test_default_competitor_per_setting(self):
         assert ScenarioConfig(case=1, setting=1, n=50).resolved_competitor() == "lim"
