@@ -25,8 +25,16 @@ MAX_HALVINGS = 40
 
 @one_thread
 def _solve_information(hess: np.ndarray, score: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Newton step ``hess^-1 score``, and whether the ridge retry was needed."""
-    if not (np.isfinite(hess).all() and np.isfinite(score).all()):  # products of the covariates overflow
+    """Newton step ``hess^-1 score``, and whether the ridge retry was needed.
+
+    A non-finite entry means products of the covariates overflowed; a
+    diagonal entry below the smallest normal float in magnitude means a
+    selected column's squares underflowed (forward selection keeps no zero
+    column).
+    Either is refused as covariates out of range.
+    """
+    if not (np.isfinite(hess).all() and np.isfinite(score).all()) or (
+            np.abs(hess.diagonal()) < np.finfo(np.float64).tiny).any():
         raise InputValueError(OUT_OF_RANGE, "covariates")
     try:
         c, low = sla.cho_factor(hess)
@@ -58,37 +66,38 @@ def newton_maximize(objective, theta0, max_iter, tol, loglik, guard=None):
     ``jitter_retry`` tells whether any step needed the ridge retry.
     """
     theta = np.asarray(theta0, dtype=np.float64).copy()
-    value, score, hess = objective(theta)
-    trace = [value]
-    converged = False
-    iterations = 0
-    step_halvings = 0
-    jitter_retry = False
-    for iterations in range(1, max_iter + 1):
-        step, jittered = _solve_information(hess, score)
-        jitter_retry |= jittered
-        scale = 1.0
-        for _ in range(MAX_HALVINGS):
-            candidate = theta + scale * step
-            cand_value = loglik(candidate)
-            if np.isfinite(cand_value) and cand_value >= value:
-                break
-            step_halvings += 1
-            scale *= 0.5
-        else:
-            # objective cannot be improved along the Newton direction;
-            # treat the current point as stationary
-            converged = np.abs(score).max() < tol * max(1.0, abs(value))
-            break
-        theta = theta + scale * step
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values fail the checks below
         value, score, hess = objective(theta)
-        trace.append(value)
-        step_inf = float(np.abs(scale * step).max())
-        if guard is not None:
-            guard(theta, step_inf)
-        if step_inf < tol:
-            converged = True
-            break
+        trace = [value]
+        converged = False
+        iterations = 0
+        step_halvings = 0
+        jitter_retry = False
+        for iterations in range(1, max_iter + 1):
+            step, jittered = _solve_information(hess, score)
+            jitter_retry |= jittered
+            scale = 1.0
+            for _ in range(MAX_HALVINGS):
+                candidate = theta + scale * step
+                cand_value = loglik(candidate)
+                if np.isfinite(cand_value) and cand_value >= value:
+                    break
+                step_halvings += 1
+                scale *= 0.5
+            else:
+                # objective cannot be improved along the Newton direction;
+                # treat the current point as stationary
+                converged = np.abs(score).max() < tol * max(1.0, abs(value))
+                break
+            theta = theta + scale * step
+            value, score, hess = objective(theta)
+            trace.append(value)
+            step_inf = float(np.abs(scale * step).max())
+            if guard is not None:
+                guard(theta, step_inf)
+            if step_inf < tol:
+                converged = True
+                break
     return theta, value, iterations, converged, hess, trace, step_halvings, jitter_retry
 
 

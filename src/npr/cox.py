@@ -106,7 +106,8 @@ class _RiskSetEngine:
         # events per tie group
         self.d_group = self.group_sums(self.event.astype(np.float64))
         self.event_groups = np.flatnonzero(self.d_group > 0)
-        self.event_x_sum = self.X[self.event].sum(axis=0)
+        with np.errstate(over="ignore"):  # an overflow fails the Newton loop's finiteness check
+            self.event_x_sum = self.X[self.event].sum(axis=0)
         self.n = X.shape[0]
         self.p = X.shape[1]
         # the n-by-p workspace of every evaluation; pages are touched on

@@ -101,15 +101,16 @@ def center(design: PropagatedDesign) -> PropagatedDesign:
     rows can be centered the same way later.
     """
     M = design.matrix
-    if design.d == 1:
-        # numpy sums a lone contiguous column pairwise but sums the columns
-        # of a wider array row by row; per-column means keep d = 1 designs
-        # on the pairwise sum, as when each order was a block of its own
-        means = np.array([col.mean() for col in M.T])
-    else:
-        means = M.mean(axis=0)
-    prior = design.column_means if design.column_means is not None else 0.0
-    return replace(design, matrix=M - means, centered=True, column_means=prior + means)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite column fails the column screen
+        if design.d == 1:
+            # numpy sums a lone contiguous column pairwise but sums the columns
+            # of a wider array row by row; per-column means keep d = 1 designs
+            # on the pairwise sum, as when each order was a block of its own
+            means = np.array([col.mean() for col in M.T])
+        else:
+            means = M.mean(axis=0)
+        prior = design.column_means if design.column_means is not None else 0.0
+        return replace(design, matrix=M - means, centered=True, column_means=prior + means)
 
 
 def center_response(y: np.ndarray) -> np.ndarray:

@@ -129,9 +129,10 @@ def fit_ols(design: PropagatedDesign, y: np.ndarray) -> GaussianFit:
     if n <= p:
         raise ValueError("insufficient observations: need more rows than selected columns")
 
-    y_mean = float(y.mean())
-    yc = y - y_mean
-    peak = np.abs(yc).max()
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check below
+        y_mean = float(y.mean())
+        yc = y - y_mean
+        peak = np.abs(yc).max()
     if not np.isfinite(peak):
         raise InputValueError("response values too large: their mean or spread overflows", "response")
 
