@@ -29,9 +29,8 @@ def _solve_information(hess: np.ndarray, score: np.ndarray) -> tuple[np.ndarray,
 
     A non-finite entry means products of the covariates overflowed; a
     diagonal entry below the smallest normal float in magnitude means a
-    selected column's squares underflowed (forward selection keeps no zero
-    column).
-    Either is refused as covariates out of range.
+    selected column's squares underflowed, since forward selection keeps
+    no zero column.  Either is refused as covariates out of range.
     """
     if not (np.isfinite(hess).all() and np.isfinite(score).all()) or (
             np.abs(hess.diagonal()) < np.finfo(np.float64).tiny).any():

@@ -5,14 +5,15 @@ The linear-in-means model with q network lags of the response solves
 s = 0..q).  The first-order model (:class:`LimParams`) writes its covariate
 terms as ``X beta + W(X delta)``; the second-order model
 (:class:`Lim2Params`) as ``X gamma1 + WX gamma2 + W^2 X gamma3``.  Each params
-class supplies only its ``rhos``, its covariate terms and how it reads its
-coefficients off the 2SLS estimate; one generator, reduced form,
-structural predictor and 2SLS fit serve every order.  The model is solved
-by fixed-point (Neumann) iteration, which contracts because W is
-row-substochastic and the spillover coefficients are restricted to the
-stable region.  Closed-form propagation coefficients of the implied
-infinite series are provided for both orders, and a standard spatial 2SLS
-estimator acts as the fitted competitor in the simulation studies.
+class supplies only its ``order`` q, its ``rhos``, its covariate terms and
+how it reads its coefficients off the 2SLS estimate; one generator,
+reduced form, structural predictor and 2SLS fit serve every order.  The
+model is solved by fixed-point (Neumann) iteration, which contracts
+because W is row-substochastic and the spillover coefficients are
+restricted to the stable region.  Closed-form propagation coefficients
+of the implied infinite series are provided for both orders, and a
+standard spatial 2SLS estimator acts as the fitted competitor in the
+simulation studies.
 """
 
 from __future__ import annotations

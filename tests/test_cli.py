@@ -556,12 +556,12 @@ class TestSimulateCommands:
         "name, argv",
         [
             ("simulate_case1_setting2", ["simulate", "--case", "1", "--setting", "2", "--n", "1000", "--seed", "1201"]),
-            ("simulate_case2_setting3", ["simulate", "--case", "2", "--setting", "3", "--n", "1000", "--seed", "1204"]),
             ("simulate_case2_setting4", ["simulate", "--case", "2", "--setting", "4", "--n", "1000", "--seed", "1202"]),
             ("simulate_case3_setting1", ["simulate", "--case", "3", "--setting", "1", "--n", "1000", "--seed", "1203"]),
             ("simulate_test_case1", ["simulate-test", "--case", "1", "--nulls", "2", "--n", "3000", "--seed", "1211"]),
             ("simulate_test_case2", ["simulate-test", "--case", "2", "--nulls", "3", "--n", "3000", "--seed", "1212"]),
             ("simulate_test_case3", ["simulate-test", "--case", "3", "--nulls", "2", "--n", "3000", "--seed", "1213"]),
+            ("simulate_case2_setting3", ["simulate", "--case", "2", "--setting", "3", "--n", "1000", "--seed", "1204"]),
         ],
     )
     def test_reproduces_golden_study(self, tmp_path, name, argv):
