@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -62,6 +63,35 @@ def write_rows(path, header, rows):
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(rows)
+
+
+@pytest.fixture
+def auc_inputs(tmp_path):
+    """Paths of a 300-node graph, two covariates, a binary response and a
+    logistic fit of them at K 1: enough rows for every eval-auc split."""
+    from scipy.special import expit
+
+    from npr.design import build_design
+    from npr.graph import gen_erdos_renyi, row_normalize, write_edge_list
+
+    rng = np.random.default_rng(4)
+    n = 300
+    paths = {name: tmp_path / f"{name}.csv" for name in ("e", "x", "y")}
+    g = gen_erdos_renyi(n, rng)
+    write_edge_list(paths["e"], g)
+    X = rng.standard_normal((n, 2))
+    write_rows(paths["x"], ["x1", "x2"], [[repr(float(a)), repr(float(b))] for a, b in X])
+    design = build_design(row_normalize(g), X, 1)
+    eta = design.full_matrix() @ np.array([1.2, -0.8, 0.9, 0.5])
+    y = (rng.random(n) < expit(eta)).astype(int)
+    write_rows(paths["y"], ["y"], [[int(v)] for v in y])
+    paths = {name: str(path) for name, path in paths.items()}
+    paths["fit"] = str(tmp_path / "fit.json")
+    assert run(
+        "fit", "--family", "logistic", "--edges", paths["e"], "--covariates", paths["x"],
+        "--response", paths["y"], "--K", "1", "--out", paths["fit"],
+    ) == 0
+    return paths
 
 
 @pytest.fixture
@@ -835,35 +865,13 @@ class TestUnits:
 
 
 class TestEvalAuc:
-    def test_auc_eval_round_trip(self, tmp_path):
-        rng = np.random.default_rng(4)
-        n = 300
-        from npr.graph import gen_erdos_renyi, row_normalize, write_edge_list
-        from npr.design import build_design
-        from scipy.special import expit
-
-        g = gen_erdos_renyi(n, rng)
-        write_edge_list(tmp_path / "e.csv", g)
-        X = rng.standard_normal((n, 2))
-        write_rows(tmp_path / "x.csv", ["x1", "x2"], [[repr(float(a)), repr(float(b))] for a, b in X])
-        design = build_design(row_normalize(g), X, 1)
-        eta = design.full_matrix() @ np.array([1.2, -0.8, 0.9, 0.5])
-        y = (rng.random(n) < expit(eta)).astype(int)
-        write_rows(tmp_path / "y.csv", ["y"], [[int(v)] for v in y])
-        fit_out = tmp_path / "fit.json"
-        assert run(
-            "fit", "--family", "logistic",
-            "--edges", str(tmp_path / "e.csv"),
-            "--covariates", str(tmp_path / "x.csv"),
-            "--response", str(tmp_path / "y.csv"),
-            "--K", "1", "--out", str(fit_out),
-        ) == 0
+    def test_auc_eval_round_trip(self, tmp_path, auc_inputs):
         out = tmp_path / "auc.json"
         assert run(
-            "eval-auc", "--fit", str(fit_out),
-            "--edges", str(tmp_path / "e.csv"),
-            "--covariates", str(tmp_path / "x.csv"),
-            "--response", str(tmp_path / "y.csv"),
+            "eval-auc", "--fit", auc_inputs["fit"],
+            "--edges", auc_inputs["e"],
+            "--covariates", auc_inputs["x"],
+            "--response", auc_inputs["y"],
             "--splits", "12", "--seed", "6", "--out", str(out),
         ) == 0
         payload = json.loads(out.read_text())
@@ -893,6 +901,63 @@ class TestEvalAuc:
             "--response", str(TOY / "response.csv"),
             "--splits", "3", "--seed", "1", "--out", str(tmp_path / "a.json"),
         ) == 2
+
+
+class TestManifest:
+    """What each command records of its run: its arguments, defaults included,
+    the inputs it digests, and its seed.  The golden tests leave the manifest
+    out, so this is what pins it."""
+
+    @staticmethod
+    def one_replicate(study):
+        # the manifest is under test, not the study: one replicate of seed 1
+        return lambda cfg, *args, **kwargs: study(dataclasses.replace(cfg, reps=1, seed=1), *args, **kwargs)
+
+    @pytest.mark.parametrize("command, seed", [
+        *((command, seed) for command in ("fit", "test", "simulate", "simulate-test", "eval-auc")
+          for seed in (None, 5)),
+        ("predict", None),
+    ])
+    def test_records_arguments_digests_and_seed(self, tmp_path, monkeypatch, auc_inputs, command, seed):
+        monkeypatch.setattr(npr.cli, "run_prediction_study", self.one_replicate(npr.sim.run_prediction_study))
+        monkeypatch.setattr(npr.cli, "run_test_study", self.one_replicate(npr.sim.run_test_study))
+        edges, covariates, fit = str(TOY / "edges.csv"), str(TOY / "covariates.csv"), str(TOY / "golden_fit.json")
+        out = str(tmp_path / "out")
+        argv, arguments, digests = {
+            "fit": (["--family", "gaussian", "--edges", edges, "--covariates", covariates,
+                     "--response", str(TOY / "response.csv")],
+                    {"family": "gaussian", "edges": edges, "covariates": covariates,
+                     "response": str(TOY / "response.csv"), "K": 8, "tol": 1e-8},
+                    ["covariates", "edges", "response"]),
+            "test": (["--fit", fit, "--kmax", "2"], {"fit": fit, "kmax": 2, "alpha": 0.05}, ["fit"]),
+            "predict": (["--fit", fit, "--edges", edges, "--covariates", covariates],
+                        {"fit": fit, "edges": edges, "covariates": covariates}, None),
+            "simulate": (["--case", "1", "--setting", "1", "--n", "50"],
+                         {"case": 1, "setting": 1, "n": 50, "reps": 100, "train_frac": 0.8}, []),
+            "simulate-test": (["--case", "1", "--nulls", "2", "--n", "50"],
+                              {"case": 1, "nulls": 2, "n": 50, "reps": 1000, "train_frac": 0.8}, []),
+            "eval-auc": (["--fit", auc_inputs["fit"], "--edges", auc_inputs["e"], "--covariates", auc_inputs["x"],
+                          "--response", auc_inputs["y"]],
+                         {"fit": auc_inputs["fit"], "edges": auc_inputs["e"], "covariates": auc_inputs["x"],
+                          "response": auc_inputs["y"], "splits": 100, "train_frac": 0.8},
+                         ["covariates", "edges", "fit", "response"]),
+        }[command]
+        if seed is not None:
+            argv, arguments = [*argv, "--seed", str(seed)], {**arguments, "seed": seed}
+        assert run(command, *argv, "--out", out) == 0
+        arguments = {**arguments, "command": command, "out": out}
+        if digests is None:  # predict writes rows, no report
+            assert Path(out).read_bytes().startswith(b"node,prediction\r\n")
+            parsed = vars(build_parser().parse_args([command, *argv, "--out", out]))
+            assert {k: v for k, v in parsed.items() if k != "func" and v is not None} == arguments
+            return
+        manifest = json.loads(Path(out).read_text())["manifest"]
+        assert manifest["arguments"] == arguments
+        assert sorted(manifest["input_digests"]) == digests
+        if seed is not None or command in ("fit", "test"):
+            assert manifest["seed"] == seed
+        else:  # drawn after the arguments were recorded
+            assert type(manifest["seed"]) is int and "seed" not in manifest["arguments"]
 
 
 def test_cli_import_leaves_scipy_stats_out():
