@@ -1,8 +1,9 @@
 """Command-line interface: fit, test, predict, simulate and evaluate.
 
-Every command writes a JSON report that embeds a run manifest (resolved
-arguments, sha256 digests of all input files, a fit report's taken
-without its timestamp block, seed, tool version and a timestamp block).  All randomness flows from ``--seed``; when the flag is
+Every command but ``predict`` writes a JSON report that embeds a run
+manifest: the resolved arguments, sha256 digests of all input files (a fit
+report's taken without its timestamp block), the seed, the tool version and
+a timestamp block.  All randomness flows from ``--seed``; when the flag is
 omitted by a command that needs randomness, a seed is drawn once and
 recorded in the manifest, so reports are always reproducible from their
 own metadata.
@@ -41,15 +42,12 @@ from .gaussian import (
 )
 from .graph import _read_csv, read_edge_list
 from .logistic import LogisticFit, auc, fit_logistic, predict_proba
-from .schemas import validate_report
+from .schemas import SCHEMA_VERSION, validate_report
 from .sim import ScenarioConfig, row_splits, run_prediction_study, run_test_study
 
 DEFAULT_TOL = 1e-8
 _FIT_RECORDS = {record.family: record for record in (GaussianFit, LogisticFit, CoxFit)}
-DETERMINISTIC_SEED_HELP = (
-    "recorded in the report's manifest only; this command draws no random "
-    "numbers, so its output is the same for every seed"
-)
+_CSV_INPUTS = ("edges", "covariates", "response", "time", "event")
 
 
 def _sha256(path) -> str:
@@ -76,42 +74,50 @@ def _report_digest(report: dict) -> str:
 
 
 class _Run:
-    """Collects manifest data while a command executes."""
+    """One command's run: its manifest, built from the parsed arguments, and
+    the one writer of its report."""
 
-    def __init__(self, command: str, args: argparse.Namespace, tracked: list[str]):
-        self.command = command
+    def __init__(self, args: argparse.Namespace):
+        self.args = args
         self.started = time.time()
-        self.seed = getattr(args, "seed", None)
-        self.arguments = {
-            k: v for k, v in vars(args).items() if k not in ("func",) and v is not None
+        self.arguments = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
+        self.input_digests = {
+            name: _sha256(getattr(args, name)) for name in _CSV_INPUTS if getattr(args, name, None) is not None
         }
-        self.input_digests = {}
-        for name in tracked:
-            path = getattr(args, name, None)
-            if path is not None:
-                self.input_digests[name] = _sha256(path)
 
-    def manifest(self) -> dict:
-        return {
-            "command": self.command,
+    def draw_seed(self) -> int:
+        """``--seed``, or for a command that draws random numbers without it,
+        a seed drawn once here.  It goes into the manifest's ``seed``, not
+        into its ``arguments``."""
+        if self.args.seed is None:
+            self.args.seed = int(np.random.SeedSequence().entropy % (2 ** 63))
+        return self.args.seed
+
+    def read_fit(self):
+        """The fit record in the ``--fit`` report, and the report, whose digest
+        the manifest records."""
+        fit, report = _load_fit(self.args.fit)
+        self.input_digests["fit"] = _report_digest(report)
+        return fit, report
+
+    def write(self, kind: str, body: dict) -> None:
+        """Validate the report of ``kind`` with ``body`` and this run's manifest,
+        and write it to ``--out``."""
+        report = {"schema_version": SCHEMA_VERSION, "kind": kind, **body, "manifest": {
+            "command": self.args.command,
             "version": __version__,
-            "seed": self.seed,
-            "arguments": {k: v for k, v in self.arguments.items()},
+            "seed": self.args.seed,
+            "arguments": self.arguments,
             "input_digests": self.input_digests,
             "timestamp": {
-                "started_utc": datetime.datetime.fromtimestamp(
-                    self.started, tz=datetime.timezone.utc
-                ).isoformat(),
+                "started_utc": datetime.datetime.fromtimestamp(self.started, tz=datetime.timezone.utc).isoformat(),
                 "wall_clock_sec": time.time() - self.started,
             },
-        }
-
-
-def _write_report(report: dict, path) -> None:
-    validate_report(report)
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        }}
+        validate_report(report)
+        with open(self.args.out, "w") as fh:
+            json.dump(report, fh, indent=2, sort_keys=True)
+            fh.write("\n")
 
 
 def _read_single_column(path, column: str) -> np.ndarray:
@@ -127,37 +133,32 @@ def _load_design(args, X: np.ndarray, K: int):
 
 
 def cmd_fit(args) -> None:
-    run = _Run("fit", args, ["edges", "covariates", "response", "time", "event"])
+    run = _Run(args)
     if args.family in ("gaussian", "logistic"):
         if args.response is None:
             raise ValueError(f"--response is required for family {args.family}")
-    else:
-        if args.time is None or args.event is None:
-            raise ValueError("--time and --event are required for family cox")
+    elif args.time is None or args.event is None:
+        raise ValueError("--time and --event are required for family cox")
 
     design = _load_design(args, read_covariates(args.covariates), args.K)
-    report = {"schema_version": 1, "kind": "fit", "family": args.family, "tol": args.tol,
-              **dict.fromkeys(_FIT_RECORDS)}
-    if args.family == "gaussian":
+    body = {"family": args.family, "tol": args.tol, **dict.fromkeys(_FIT_RECORDS)}
+    if args.family != "cox":
         y = _read_single_column(args.response, "y")
+    if args.family == "gaussian":
         design = center(design)  # rebinding frees the raw design before selection and the fit
         fit = fit_ols(forward_select(design, tol=args.tol), y)
-        report["t_statistics"] = [
+        body["t_statistics"] = [
             {k: (v if not isinstance(v, float) or math.isfinite(v) else None) for k, v in rec.items()}
             for rec in t_statistics(fit)
         ]
     elif args.family == "logistic":
-        y = _read_single_column(args.response, "y")
         fit = fit_logistic(forward_select(design, tol=args.tol), y, tol=args.tol)
     else:
-        t = _read_single_column(args.time, "time")
-        d = _read_single_column(args.event, "event")
-        surv = SurvivalData(time=t, event=d)
+        surv = SurvivalData(time=_read_single_column(args.time, "time"), event=_read_single_column(args.event, "event"))
         if surv.n != design.n_rows:
             raise ValueError("survival data length must match the covariate rows")
         fit = fit_cox(forward_select(design, tol=args.tol), surv, tol=args.tol)
-    report.update(fit.to_report(), manifest=run.manifest())
-    _write_report(report, args.out)
+    run.write("fit", {**body, **fit.to_report()})
 
 
 def _load_fit(path):
@@ -175,24 +176,16 @@ def _load_fit(path):
 
 
 def cmd_test(args) -> None:
-    run = _Run("test", args, [])
+    run = _Run(args)
     if not 0.0 < args.alpha < 1.0:
         raise ValueError("--alpha must lie strictly between 0 and 1")
-    fit, payload = _load_fit(args.fit)
-    run.input_digests["fit"] = _report_digest(payload)
+    fit, payload = run.read_fit()
     if fit.family != "gaussian":
         raise ValueError("order tests require a gaussian-family fit")
     if args.kmax > payload["K"]:
         raise ValueError(f"--kmax {args.kmax} exceeds the fit's K={payload['K']}")
     result = order_test(fit, None, k_max=args.kmax, xi=args.alpha)
-    report = {
-        "schema_version": 1,
-        "kind": "test",
-        "kmax": args.kmax,
-        **result.to_dict(),
-        "manifest": run.manifest(),
-    }
-    _write_report(report, args.out)
+    run.write("test", {"kmax": args.kmax, **result.to_dict()})
 
 
 def cmd_predict(args) -> None:
@@ -224,54 +217,26 @@ def _replicate_csv(path, report) -> None:
                         writer.writerow([i, f"{key}_j{j}", repr(float(item))])
 
 
-def _resolve_seed(args) -> int:
-    if args.seed is None:
-        args.seed = int(np.random.SeedSequence().entropy % (2 ** 63))
-    return args.seed
-
-
-def _run_study(args, command: str, study: str, setting: int, runner) -> None:
-    """Run a seeded simulation study; write its report and, if asked, its CSV rows."""
-    run = _Run(command, args, [])
-    run.seed = _resolve_seed(args)
-    cfg = ScenarioConfig(
-        case=args.case,
-        setting=setting,
-        n=args.n,
-        reps=args.reps,
-        seed=args.seed,
-        train_frac=args.train_frac,
-    )
-    report_obj = runner(cfg)
-    report = {
-        "schema_version": 1,
-        "kind": "simulation",
-        "study": study,
-        "config": report_obj.config,
-        "reps": report_obj.reps,
-        "metrics": report_obj.metrics,
-        "manifest": run.manifest(),
-    }
-    _write_report(report, args.out)
-    if args.csv:
-        _replicate_csv(args.csv, report_obj)
-
-
 def cmd_simulate(args) -> None:
-    _run_study(args, "simulate", "prediction", args.setting, run_prediction_study)
-
-
-def cmd_simulate_test(args) -> None:
-    _run_study(args, "simulate-test", "testing", 3, lambda cfg: run_test_study(cfg, n_nulls=args.nulls))
+    """``simulate`` and ``simulate-test``: a seeded study, its report and, if
+    asked, its replicate rows.  The testing study runs in setting 3."""
+    run = _Run(args)
+    testing = args.command == "simulate-test"
+    cfg = ScenarioConfig(case=args.case, setting=3 if testing else args.setting, n=args.n, reps=args.reps,
+                         seed=run.draw_seed(), train_frac=args.train_frac)
+    study = run_test_study(cfg, n_nulls=args.nulls) if testing else run_prediction_study(cfg)
+    run.write("simulation", {"study": study.kind, "config": study.config, "reps": study.reps,
+                             "metrics": study.metrics})
+    if args.csv:
+        _replicate_csv(args.csv, study)
 
 
 def cmd_eval_auc(args) -> None:
-    run = _Run("eval-auc", args, ["edges", "covariates", "response"])
+    run = _Run(args)
     if args.splits < 2:  # one split has no spread to give an interval
         raise ValueError("--splits must be at least 2")
-    run.seed = _resolve_seed(args)
-    fit, payload = _load_fit(args.fit)
-    run.input_digests["fit"] = _report_digest(payload)
+    rng = np.random.default_rng(run.draw_seed())
+    fit, payload = run.read_fit()
     if fit.family != "logistic":
         raise ValueError("eval-auc requires a logistic-family fit configuration")
     y = _read_single_column(args.response, "y")
@@ -280,7 +245,6 @@ def cmd_eval_auc(args) -> None:
         raise ValueError(f"covariates have {X.shape[0]} rows but {y.shape[0]} were expected")
     design = _load_design(args, X, payload["K"])
     tol = payload["tol"]
-    rng = np.random.default_rng(args.seed)
     scores = []
     for train, test in row_splits(design.n_rows, args.train_frac, rng, args.splits):
         sub = forward_select(design.subset_rows(train), tol=tol)
@@ -288,22 +252,10 @@ def cmd_eval_auc(args) -> None:
         proba = predict_proba(fit, design.subset_rows(test))
         scores.append(auc(proba, y[test]))
     scores = np.asarray(scores)
-    sd = float(scores.std(ddof=1))
+    mean, sd = float(scores.mean()), float(scores.std(ddof=1))
     half = Z_95 * sd / math.sqrt(scores.size)
-    report = {
-        "schema_version": 1,
-        "kind": "auc-eval",
-        "splits": args.splits,
-        "train_frac": args.train_frac,
-        "K": payload["K"],
-        "mean_auc": float(scores.mean()),
-        "sd": sd,
-        "ci95_low": float(scores.mean() - half),
-        "ci95_high": float(scores.mean() + half),
-        "per_split": [float(s) for s in scores],
-        "manifest": run.manifest(),
-    }
-    _write_report(report, args.out)
+    run.write("auc-eval", {"splits": args.splits, "train_frac": args.train_frac, "K": payload["K"], "mean_auc": mean,
+                           "sd": sd, "ci95_low": mean - half, "ci95_high": mean + half, "per_split": scores.tolist()})
 
 
 def _positive_float(text: str, below: float = math.inf, bounds: str = "above 0") -> float:
@@ -319,6 +271,48 @@ def _positive_float(text: str, below: float = math.inf, bounds: str = "above 0")
 
 _fraction = functools.partial(_positive_float, below=1.0, bounds="strictly between 0 and 1")
 
+# Each flag is declared once.  A command takes the flags it names, in that
+# order, with its own changes to a declaration.
+_FLAGS = {
+    "--family": {"required": True, "choices": _FIT_RECORDS},
+    "--fit": {"required": True},
+    "--edges": {"required": True},
+    "--covariates": {"required": True},
+    "--response": {},
+    "--time": {},
+    "--event": {},
+    "--K": {"type": int, "default": 8},
+    "--tol": {"type": _positive_float, "default": DEFAULT_TOL},
+    "--kmax": {"type": int, "required": True},
+    "--alpha": {"type": float, "default": 0.05},
+    "--case": {"type": int, "required": True},
+    "--setting": {"type": int, "required": True},
+    "--nulls": {"type": int, "required": True, "choices": [2, 3]},
+    "--n": {"type": int, "required": True},
+    "--reps": {"type": int},
+    "--splits": {"type": int, "default": 100},
+    "--train-frac": {"type": _fraction, "default": 0.8},
+    "--seed": {"type": int, "help": "seeds the command's random draws and is recorded in its report's manifest; "
+               "fit and test draw no random numbers, so their output is the same for every seed"},
+    "--out": {"required": True},
+    "--csv": {},
+}
+_COMMANDS = {  # name: (help, handler, flags, changes)
+    "fit": ("fit a model from CSV inputs", cmd_fit,
+            "--family --edges --covariates --response --time --event --K --tol --seed --out", {}),
+    "test": ("sequential order tests from a gaussian fit", cmd_test, "--fit --kmax --alpha --seed --out", {}),
+    "predict": ("per-node predictions from a fit", cmd_predict, "--fit --edges --covariates --out", {}),
+    "simulate": ("run a prediction-comparison study", cmd_simulate,
+                 "--case --setting --n --reps --seed --train-frac --out --csv",
+                 {"--reps": {"default": 100}}),
+    "simulate-test": ("run a sequential-testing study", cmd_simulate,
+                      "--case --nulls --n --reps --seed --train-frac --out --csv",
+                      {"--reps": {"default": 1000}}),
+    "eval-auc": ("repeated-split AUC for a logistic configuration", cmd_eval_auc,
+                 "--fit --edges --covariates --response --splits --train-frac --seed --out",
+                 {"--response": {"required": True}}),
+}
+
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
@@ -329,68 +323,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Regression on network-linked data via propagated covariates",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_fit = sub.add_parser("fit", help="fit a model from CSV inputs")
-    p_fit.add_argument("--family", required=True, choices=_FIT_RECORDS)
-    p_fit.add_argument("--edges", required=True)
-    p_fit.add_argument("--covariates", required=True)
-    p_fit.add_argument("--response")
-    p_fit.add_argument("--time")
-    p_fit.add_argument("--event")
-    p_fit.add_argument("--K", type=int, default=8)
-    p_fit.add_argument("--tol", type=_positive_float, default=DEFAULT_TOL)
-    p_fit.add_argument("--seed", type=int, help=DETERMINISTIC_SEED_HELP)
-    p_fit.add_argument("--out", required=True)
-    p_fit.set_defaults(func=cmd_fit)
-
-    p_test = sub.add_parser("test", help="sequential order tests from a gaussian fit")
-    p_test.add_argument("--fit", required=True)
-    p_test.add_argument("--kmax", type=int, required=True)
-    p_test.add_argument("--alpha", type=float, default=0.05)
-    p_test.add_argument("--seed", type=int, help=DETERMINISTIC_SEED_HELP)
-    p_test.add_argument("--out", required=True)
-    p_test.set_defaults(func=cmd_test)
-
-    p_pred = sub.add_parser("predict", help="per-node predictions from a fit")
-    p_pred.add_argument("--fit", required=True)
-    p_pred.add_argument("--edges", required=True)
-    p_pred.add_argument("--covariates", required=True)
-    p_pred.add_argument("--out", required=True)
-    p_pred.set_defaults(func=cmd_predict)
-
-    p_sim = sub.add_parser("simulate", help="run a prediction-comparison study")
-    p_sim.add_argument("--case", type=int, required=True)
-    p_sim.add_argument("--setting", type=int, required=True)
-    p_sim.add_argument("--n", type=int, required=True)
-    p_sim.add_argument("--reps", type=int, default=100)
-    p_sim.add_argument("--seed", type=int)
-    p_sim.add_argument("--train-frac", type=_fraction, default=0.8)
-    p_sim.add_argument("--out", required=True)
-    p_sim.add_argument("--csv")
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_st = sub.add_parser("simulate-test", help="run a sequential-testing study")
-    p_st.add_argument("--case", type=int, required=True)
-    p_st.add_argument("--nulls", type=int, required=True, choices=[2, 3])
-    p_st.add_argument("--n", type=int, required=True)
-    p_st.add_argument("--reps", type=int, default=1000)
-    p_st.add_argument("--seed", type=int)
-    p_st.add_argument("--train-frac", type=_fraction, default=0.8)
-    p_st.add_argument("--out", required=True)
-    p_st.add_argument("--csv")
-    p_st.set_defaults(func=cmd_simulate_test)
-
-    p_auc = sub.add_parser("eval-auc", help="repeated-split AUC for a logistic configuration")
-    p_auc.add_argument("--fit", required=True)
-    p_auc.add_argument("--edges", required=True)
-    p_auc.add_argument("--covariates", required=True)
-    p_auc.add_argument("--response", required=True)
-    p_auc.add_argument("--splits", type=int, default=100)
-    p_auc.add_argument("--train-frac", type=_fraction, default=0.8)
-    p_auc.add_argument("--seed", type=int)
-    p_auc.add_argument("--out", required=True)
-    p_auc.set_defaults(func=cmd_eval_auc)
-
+    for name, (help_text, handler, flags, changes) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flag in flags.split():
+            command.add_argument(flag, **_FLAGS[flag] | changes.get(flag, {}))
+        command.set_defaults(func=handler)
     return parser
 
 
