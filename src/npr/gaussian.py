@@ -21,7 +21,7 @@ from scipy import special
 
 from ._blas import one_thread
 from .design import OUT_OF_RANGE, FitRecord, PropagatedDesign, fit_inputs
-from .exceptions import InputValueError, SingularMatrixError
+from .exceptions import InputValueError, ModelError, SingularMatrixError
 
 Z_95 = 1.959964  # two-sided 95% normal quantile used for intervals
 
@@ -208,7 +208,7 @@ def t_statistics(fit: GaussianFit) -> list[dict]:
     out = []
     if fit.sigma2_hat == 0.0:
         warnings.warn(
-            "zero residual variance: t statistics reported as infinite",
+            "zero residual variance: t statistics reported as infinite, or undefined for a zero estimate",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -217,6 +217,8 @@ def t_statistics(fit: GaussianFit) -> list[dict]:
         if se > 0.0:
             t = est / se
             pval = 2.0 * special.ndtr(-abs(t))
+        elif est == 0.0:  # 0/0: no evidence either way
+            t, pval = math.nan, 1.0
         else:
             t = math.inf if est >= 0 else -math.inf
             pval = 0.0
@@ -241,7 +243,8 @@ def wald_statistic(fit: GaussianFit, design: PropagatedDesign | None, j: int) ->
     forward selection are structural zeros and do not enter.  When no
     column of order >= j survives, m = 0 is reported and the caller treats
     the hypothesis as undecidable (p = 1).  ``design`` may be omitted; it
-    is used only to bound j by the design's maximum order.
+    is used only to bound j by the design's maximum order.  A fit with zero
+    residual variance has no Wald statistic and raises ``ModelError``.
     """
     bound = _order_bound(fit, design)
     if j < 0 or j > bound:
@@ -251,6 +254,8 @@ def wald_statistic(fit: GaussianFit, design: PropagatedDesign | None, j: int) ->
     m = int(idx.size)
     if m == 0:
         return {"j": j, "m": 0, "T": 0.0}
+    if fit.sigma2_hat == 0.0:
+        raise ModelError(f"zero residual variance: the order-{j} Wald statistic of an exact fit is undefined")
     theta_r = fit.theta_hat[idx]
     G = fit.gram_inverse[np.ix_(idx, idx)]
     try:

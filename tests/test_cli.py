@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -413,6 +414,23 @@ class TestTestCommand:
             "--out", str(tmp_path / "t.json"),
         ) == 2
 
+    @pytest.mark.filterwarnings("ignore:zero residual variance:RuntimeWarning")
+    @pytest.mark.parametrize("response", ["2 x1 + 1", "zero"])
+    def test_an_exact_fit_exits_1_naming_the_zero_residual_variance(self, tmp_path, capsys, response):
+        X = np.loadtxt(TOY / "covariates.csv", delimiter=",", skiprows=1)
+        y = 2 * X[:, 0] + 1 if response == "2 x1 + 1" else np.zeros(len(X))
+        write_rows(tmp_path / "y.csv", ["y"], [[repr(v)] for v in y.tolist()])
+        fit, out = tmp_path / "fit.json", tmp_path / "test.json"
+        assert run("fit", "--family", "gaussian", "--edges", str(TOY / "edges.csv"),
+                   "--covariates", str(TOY / "covariates.csv"), "--response", str(tmp_path / "y.csv"),
+                   "--K", "2", "--out", str(fit)) == 0
+        if response == "zero":  # every estimate and standard error is 0: no evidence either way
+            assert {(t["t"], t["p"]) for t in json.loads(fit.read_text())["t_statistics"]} == {(None, 1.0)}
+        capsys.readouterr()
+        assert run("test", "--fit", str(fit), "--kmax", "2", "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith("error: zero residual variance")
+        assert not out.exists()
+
     def test_non_gaussian_fit_rejected(self, tmp_path):
         rng = np.random.default_rng(2)
         yb = (rng.random(24) < 0.5).astype(int)
@@ -616,6 +634,14 @@ class TestSimulateCommands:
             "--reps", "2", "--seed", "1", "--out", str(out),
         ) == 2
         assert f"NPR_THREADS must be an integer >= 1, got {threads!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_an_exact_fit_in_a_replicate_exits_1(self, tmp_path, capsys):
+        # ten rows: the replicate's design fits its response exactly
+        out = tmp_path / "t.json"
+        assert run("simulate-test", "--case", "2", "--nulls", "3", "--n", "10", "--reps", "1",
+                   "--seed", "1", "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith("error: zero residual variance")
         assert not out.exists()
 
     def test_invalid_config_exits_2(self, tmp_path):
@@ -862,6 +888,54 @@ class TestUnits:
                 math.ldexp(want["estimate"], e), math.ldexp(want["std_error"], e))
         assert fit["gaussian"]["rss"] == math.ldexp(base["gaussian"]["rss"], 2 * k * (scaled == "y"))
         assert [(t["t"], t["p"]) for t in fit["t_statistics"]] == [(t["t"], t["p"]) for t in base["t_statistics"]]
+
+
+class TestNumericFlags:
+    """Numeric flags at the edges of their ranges: one command at a time, with
+    up to two of its numeric flags drawn and the others at valid values."""
+
+    FLOATS = ["nan", "inf", "-inf", "0", "-1", "1e-320", "0.5", "1", "1.5", "abc"]
+    GRAPH = {"--edges": TOY / "edges.csv", "--covariates": TOY / "covariates.csv"}
+    COMMANDS = {  # the inputs of each command, and its numeric flags at valid values
+        "fit": ({"--family": "gaussian", **GRAPH, "--response": TOY / "response.csv"}, {"--K": 2, "--tol": 1e-8}),
+        "test": ({"--fit": TOY / "golden_fit.json"}, {"--kmax": 2, "--alpha": 0.05}),
+        "simulate": ({}, {"--case": 1, "--setting": 1, "--n": 30, "--reps": 1, "--train-frac": 0.8}),
+        "simulate-test": ({}, {"--case": 1, "--nulls": 2, "--n": 30, "--reps": 1, "--train-frac": 0.8}),
+        "eval-auc": ({"--fit": TOY / "golden_logistic_fit.json", **GRAPH, "--response": TOY / "binary.csv"},
+                     {"--splits": 2, "--train-frac": 0.8}),
+    }
+    # --K, --n and --reps stay small: they allocate memory or start work
+    INTEGERS = {"--K": (-1, 3), "--kmax": (-1, 3), "--splits": (-1, 3), "--case": (0, 4), "--setting": (0, 5),
+                "--nulls": (1, 4), "--n": (-1, 30), "--reps": (-1, 2)}
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_a_numeric_flag_runs_or_exits_with_a_named_cause(self, data):
+        command = data.draw(st.sampled_from(sorted(self.COMMANDS)))
+        inputs, numbers = self.COMMANDS[command]
+        drawn = data.draw(st.sets(st.sampled_from(sorted(numbers)), min_size=1, max_size=2))
+        flags = {**inputs, **numbers, **{
+            flag: data.draw(st.integers(*self.INTEGERS[flag]) if flag in self.INTEGERS
+                            else st.sampled_from(self.FLOATS))
+            for flag in sorted(drawn)
+        }}
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            warnings.filterwarnings("ignore", "zero residual variance", RuntimeWarning)
+            out = Path(tmp) / "out.json"
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                try:  # --flag=value, so that a value such as -inf is not read as a flag
+                    code = run(command, *(f"{flag}={value}" for flag, value in flags.items()),
+                               "--seed", "1", "--out", str(out))
+                except SystemExit as exc:
+                    code = exc.code
+            text = out.read_text() if out.exists() else None
+        assert code in (0, 1, 2) and "Traceback" not in err.getvalue(), err.getvalue()
+        assert not caught, [str(w.message) for w in caught]
+        if code == 0:
+            json.loads(text, parse_constant=lambda name: pytest.fail(f"{name} in a report"))
+        else:
+            assert text is None and err.getvalue().startswith(("error: ", "usage: "))
 
 
 class TestEvalAuc:

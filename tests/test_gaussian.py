@@ -10,7 +10,7 @@ from scipy import stats
 
 from npr import gaussian
 from npr.design import PropagatedDesign, build_design, center, forward_select
-from npr.exceptions import InputValueError, SingularMatrixError
+from npr.exceptions import InputValueError, ModelError, SingularMatrixError
 from npr.gaussian import (
     _qr,
     fit_ols,
@@ -295,6 +295,16 @@ class TestTStatistics:
             assert r["ci_low"] <= r["estimate"] <= r["ci_high"]
             assert 0.0 <= r["p"] <= 1.0
 
+    def test_zero_estimate_with_zero_standard_error_is_not_significant(self):
+        # a constant response fits exactly with every coefficient zero: 0/0
+        # gives no evidence against the null
+        design = forward_select(center(plain_design(np.array([[1.0], [2.0], [3.0]]))))
+        with pytest.warns(RuntimeWarning, match="zero residual variance"):
+            fit = fit_ols(design, np.full(3, 5.0))
+            (rec,) = t_statistics(fit)
+        assert (rec["estimate"], rec["std_error"]) == (0.0, 0.0)
+        assert math.isnan(rec["t"]) and rec["p"] == 1.0
+
 
 class TestWaldStatistic:
     def test_zero_restricted_block(self):
@@ -358,6 +368,17 @@ class TestWaldStatistic:
         report = order_test(fit, design, k_max=2)
         assert report.records[1]["p"] == 1.0
         assert report.records[1].get("no_columns") is True
+
+    @pytest.mark.filterwarnings("ignore:zero residual variance:RuntimeWarning")
+    @pytest.mark.parametrize("y", [[2.0, 4.0, 6.0, 10.0], [0.0, 0.0, 0.0, 0.0]], ids=["exact line", "all zero"])
+    def test_an_exact_fit_has_no_wald_statistic(self, y):
+        # zero residual variance would give T = inf, or nan for a zero estimate
+        design = forward_select(center(plain_design(np.array([[1.0], [2.0], [3.0], [5.0]]))))
+        fit = fit_ols(design, np.array(y))
+        with pytest.raises(ModelError, match="zero residual variance"):
+            wald_statistic(fit, design, 0)
+        with pytest.raises(ModelError, match="zero residual variance"):
+            order_test(fit, design, k_max=0)
 
     def test_chi2_null_calibration_small(self):
         # fixed design, gaussian noise: T_j should follow chi2(m) closely
