@@ -30,7 +30,7 @@ from scipy.sparse import linalg as spla
 
 from .design import independent_columns
 from .exceptions import ConvergenceError, DegenerateDesignError
-from .graph import RowStochasticOperator, _as_rng
+from .graph import RowStochasticOperator
 
 NEUMANN_TOL = 1e-10
 NEUMANN_MAX_TERMS = 10_000
@@ -149,7 +149,7 @@ def gen_lim(W: RowStochasticOperator, X: np.ndarray, params: LimParams | Lim2Par
     n = W.n_nodes
     if X.shape[0] != n:
         raise ValueError("X row count must match the operator")
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     eps = sigma * rng.standard_normal(n) if sigma else np.zeros(n)
     return _neumann_solve(W, params.rhos, _covariate_sum(W, X, params) + eps)
 
@@ -202,7 +202,7 @@ def gen_npr(W: RowStochasticOperator, X: np.ndarray, lambdas, sigma: float, seed
     for l in lambdas:
         if l.shape[0] != X.shape[1]:
             raise ValueError("each coefficient vector must match the covariate dimension")
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     M = propagate(W, X, len(lambdas) - 1)
     d = X.shape[1]
     y = np.zeros(W.n_nodes)
@@ -228,7 +228,7 @@ def gen_cohesion(block_labels, X, etas, mu_var: float, beta, sigma: float, seed=
         raise ValueError("labels must index into etas")
     if mu_var < 0:
         raise ValueError("mu_var must be non-negative")
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     mu = etas[labels] + math.sqrt(mu_var) * rng.standard_normal(labels.size)
     y = mu + X @ beta + (sigma * rng.standard_normal(labels.size) if sigma else 0.0)
     return y, mu

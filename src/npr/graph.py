@@ -159,12 +159,6 @@ def spectral_bound_check(W: RowStochasticOperator, k: int) -> float:
     return float(np.linalg.eigvalsh(gram)[-1])
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def _sample_distinct_codes(rng: np.random.Generator, total: int, count: int) -> np.ndarray:
     """Sample ``count`` distinct integers from ``[0, total)`` uniformly,
     in random order.
@@ -210,7 +204,7 @@ def gen_erdos_renyi(n: int, seed) -> DirectedGraph:
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     p = float(n) ** -0.8
     total = n * (n - 1)
     m = rng.binomial(total, p)
@@ -228,7 +222,7 @@ def gen_sbm(n: int, seed) -> tuple[DirectedGraph, np.ndarray]:
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     labels = rng.integers(0, 3, size=n)
     p_within = float(n) ** -0.75
     p_between = 1.0 / n
@@ -378,7 +372,7 @@ def gen_powerlaw(n: int, seed) -> DirectedGraph:
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     in_degrees = sample_powerlaw_degrees(n, n, rng)
     # node i's followers are drawn from the n-1 other nodes, in node order
     src = _choice_without_replacement(rng, n - 1, in_degrees)

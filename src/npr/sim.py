@@ -34,7 +34,7 @@ from ._blas import all_one_thread
 from .baselines import Lim2Params, LimParams, fit_lim2_2sls, fit_lim_2sls, gen_cohesion, gen_lim, gen_npr
 from .design import build_design, center, forward_select, DEFAULT_SELECT_TOL
 from .gaussian import Z_95, fit_ols, order_test, predict
-from .graph import DirectedGraph, _as_rng, gen_erdos_renyi, gen_powerlaw, gen_sbm, row_normalize
+from .graph import DirectedGraph, gen_erdos_renyi, gen_powerlaw, gen_sbm, row_normalize
 
 # scenario constants: spillover strengths, coefficient draw ranges and the
 # community-effect profile used by the four generating mechanisms
@@ -208,7 +208,7 @@ def split_scenarios(graph: DirectedGraph, frac: float, mode: str, seed, case: in
         raise ValueError("mode must be 'linked' or 'isolated'")
     if not 0.0 < frac < 1.0:
         raise ValueError("degenerate split: frac must lie strictly between 0 and 1")
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     n = graph.n_nodes
     train, test = next(row_splits(n, frac, rng, 1))
     if mode == "linked":
