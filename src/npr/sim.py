@@ -22,6 +22,7 @@ in a worker alike (see ``_blas``).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -95,18 +96,7 @@ class ScenarioConfig:
         return self.competitor or _DEFAULT_COMPETITOR[self.setting]
 
     def to_dict(self) -> dict:
-        return {
-            "case": self.case,
-            "setting": self.setting,
-            "n": self.n,
-            "d": self.d,
-            "k_fit": self.k_fit,
-            "reps": self.reps,
-            "seed": self.seed,
-            "train_frac": self.train_frac,
-            "select_tol": self.select_tol,
-            "competitor": self.resolved_competitor(),
-        }
+        return {**dataclasses.asdict(self), "competitor": self.resolved_competitor()}
 
 
 @dataclass(eq=False)
@@ -179,6 +169,13 @@ def generate_response(setting: int, W, X, params, rng: np.random.Generator, labe
         y, mu = gen_cohesion(labels, X, COHESION_ETAS, COHESION_MU_VAR, params["beta"], NOISE_SIGMA, rng)
         return y, {"mu": mu}
     return gen_lim(W, X, params, NOISE_SIGMA, rng), {}
+
+
+def _network(cfg: ScenarioConfig, rng: np.random.Generator):
+    """One replicate's network: ``(graph, labels_or_None, W, X)``, the case's
+    graph, its row normalization and fresh covariates, drawn in that order."""
+    graph, labels = graph_for_case(cfg.case, cfg.n, rng)
+    return graph, labels, row_normalize(graph), covariates_for_case(cfg.case, cfg.n, cfg.d, rng)
 
 
 def row_splits(n: int, frac: float, rng: np.random.Generator, count: int):
@@ -267,9 +264,7 @@ def _competitor(name, W, X, y, params, aux, train):
 
 def _prediction_replicate(cfg: ScenarioConfig, seed: np.random.SeedSequence) -> dict:
     rng = np.random.default_rng(seed)
-    graph, labels = graph_for_case(cfg.case, cfg.n, rng)
-    W = row_normalize(graph)
-    X = covariates_for_case(cfg.case, cfg.n, cfg.d, rng)
+    graph, labels, W, X = _network(cfg, rng)
     params = draw_setting_params(cfg.setting, cfg.d, rng)
     y, aux = generate_response(cfg.setting, W, X, params, rng, labels)
 
@@ -287,9 +282,7 @@ def _prediction_replicate(cfg: ScenarioConfig, seed: np.random.SeedSequence) -> 
 
     # isolated scenario: an independent same-size network with fresh
     # covariates and noise, scored on a fresh test set of the split size
-    t_graph, t_labels = graph_for_case(cfg.case, cfg.n, rng)
-    Wt = row_normalize(t_graph)
-    Xt = covariates_for_case(cfg.case, cfg.n, cfg.d, rng)
+    _, t_labels, Wt, Xt = _network(cfg, rng)
     yt, aux_t = generate_response(cfg.setting, Wt, Xt, params, rng, t_labels)
     design_t = build_design(Wt, Xt, cfg.k_fit)
     rows_t = np.sort(rng.permutation(cfg.n)[:test.size])
@@ -320,16 +313,9 @@ def _prediction_replicate(cfg: ScenarioConfig, seed: np.random.SeedSequence) -> 
     }
 
 
-@all_one_thread
-def _prediction_worker(args):
-    return _prediction_replicate(*args)
-
-
 def _test_replicate(cfg: ScenarioConfig, n_nulls: int, seed: np.random.SeedSequence) -> dict:
     rng = np.random.default_rng(seed)
-    graph, _ = graph_for_case(cfg.case, cfg.n, rng)
-    W = row_normalize(graph)
-    X = covariates_for_case(cfg.case, cfg.n, cfg.d, rng)
+    _, _, W, X = _network(cfg, rng)
     n_signal_orders = (TEST_K_MAX + 1) - n_nulls
     lambdas = [
         rng.uniform(-TEST_COEF_HALF_WIDTH, TEST_COEF_HALF_WIDTH, cfg.d) * TEST_COEF_SCALE
@@ -361,11 +347,6 @@ def _test_replicate(cfg: ScenarioConfig, n_nulls: int, seed: np.random.SeedSeque
     }
 
 
-@all_one_thread
-def _test_worker(args):
-    return _test_replicate(*args)
-
-
 def _worker_count() -> int:
     """The ``NPR_THREADS`` cap on worker processes, 1 when it is unset."""
     raw = os.environ.get("NPR_THREADS", "1")
@@ -378,12 +359,22 @@ def _worker_count() -> int:
     return threads
 
 
-def _run_parallel(worker, tasks):
+@all_one_thread
+def _run_replicate(task):
+    replicate, *args = task
+    return replicate(*args)
+
+
+def _replicates(replicate, cfg: ScenarioConfig, *args) -> list[dict]:
+    """``replicate(cfg, *args, seed)`` for each of the ``cfg.reps`` children
+    of the master seed, in seed order, serially or on the ``NPR_THREADS``
+    pool.  ``replicate`` is a module-level function, so a task pickles."""
+    tasks = [(replicate, cfg, *args, seed) for seed in np.random.SeedSequence(cfg.seed).spawn(cfg.reps)]
     threads = _worker_count()
     if threads > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(worker, tasks, chunksize=max(1, len(tasks) // (4 * threads))))
-    return [worker(t) for t in tasks]
+            return list(ex.map(_run_replicate, tasks, chunksize=max(1, len(tasks) // (4 * threads))))
+    return [_run_replicate(task) for task in tasks]
 
 
 def _mean_se(values) -> dict:
@@ -395,8 +386,7 @@ def _mean_se(values) -> dict:
 
 def run_prediction_study(cfg: ScenarioConfig) -> ScenarioReport:
     """Run the four-scenario prediction comparison over all replicates."""
-    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.reps)
-    rows = _run_parallel(_prediction_worker, [(cfg, s) for s in seeds])
+    rows = _replicates(_prediction_replicate, cfg)
     metrics = {
         name: _mean_se([r[name] for r in rows])
         for name in ("kappa1", "kappa2", "kappa3", "kappa4")
@@ -415,8 +405,7 @@ def run_test_study(cfg: ScenarioConfig, n_nulls: int) -> ScenarioReport:
     """Run the sequential-testing study with ``n_nulls`` true null orders."""
     if n_nulls not in (2, 3):
         raise ValueError("n_nulls must be 2 or 3")
-    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.reps)
-    rows = _run_parallel(_test_worker, [(cfg, n_nulls, s) for s in seeds])
+    rows = _replicates(_test_replicate, cfg, n_nulls)
 
     n_orders = TEST_K_MAX + 1
     n_signal = n_orders - n_nulls
@@ -427,18 +416,12 @@ def run_test_study(cfg: ScenarioConfig, n_nulls: int) -> ScenarioReport:
     holm = np.asarray([r["holm"] for r in rows], dtype=float)
     coverages = np.asarray([r["coverage"] for r in rows], dtype=float)
 
-    ep = float(unadj[:, false_js].mean()) if false_js else None
-    es = float(unadj[:, true_js].mean()) if true_js else None
-    mp = float(holm[:, false_js].all(axis=1).mean()) if false_js else None
-    fwer = float(holm[:, true_js].any(axis=1).mean()) if true_js else None
-    cp = float(np.nanmean(coverages)) if np.any(np.isfinite(coverages)) else None
-
-    metrics = {
-        "EP": ep,
-        "ES": es,
-        "MP": mp,
-        "FWER": fwer,
-        "CP": cp,
+    metrics = {  # n_nulls in {2, 3} leaves both index lists non-empty
+        "EP": float(unadj[:, false_js].mean()),
+        "ES": float(unadj[:, true_js].mean()),
+        "MP": float(holm[:, false_js].all(axis=1).mean()),
+        "FWER": float(holm[:, true_js].any(axis=1).mean()),
+        "CP": float(np.nanmean(coverages)) if np.any(np.isfinite(coverages)) else None,
         "n_nulls": n_nulls,
         "per_order_unadjusted_rejection": unadj.mean(axis=0).tolist(),
         "per_order_holm_rejection": holm.mean(axis=0).tolist(),

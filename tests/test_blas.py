@@ -153,15 +153,13 @@ def _counts_in_replicate(*args):
 
 
 @pytest.mark.parametrize("threads", ["1", "2"], ids=["serial", "pool"])
-@pytest.mark.parametrize(
-    "worker, replicate",
-    [("_prediction_worker", "_prediction_replicate"), ("_test_worker", "_test_replicate")],
-)
-def test_both_counts_are_one_inside_a_replicate(two_threads, monkeypatch, threads, worker, replicate):
+@pytest.mark.parametrize("replicate", ["_prediction_replicate", "_test_replicate"])
+def test_both_counts_are_one_inside_a_replicate(two_threads, monkeypatch, threads, replicate):
     # a forked pool worker inherits the patched replicate and returns its counts
     monkeypatch.setenv("NPR_THREADS", threads)
     monkeypatch.setattr(sim, replicate, _counts_in_replicate)
-    assert sim._run_parallel(getattr(sim, worker), [()] * 4) == [(1, 1)] * 4
+    cfg = ScenarioConfig(case=1, setting=3, n=200, reps=4, seed=3)
+    assert sim._replicates(getattr(sim, replicate), cfg) == [(1, 1)] * 4
 
 
 def test_counts_restored_after_a_study(two_threads):
