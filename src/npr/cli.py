@@ -155,8 +155,6 @@ def cmd_fit(args) -> None:
         fit = fit_logistic(forward_select(design, tol=args.tol), y, tol=args.tol)
     else:
         surv = SurvivalData(time=_read_single_column(args.time, "time"), event=_read_single_column(args.event, "event"))
-        if surv.n != design.n_rows:
-            raise ValueError("survival data length must match the covariate rows")
         fit = fit_cox(forward_select(design, tol=args.tol), surv, tol=args.tol)
     run.write("fit", {**body, **fit.to_report()})
 
@@ -192,7 +190,7 @@ def cmd_predict(args) -> None:
     fit, payload = _load_fit(args.fit)
     X = read_covariates(args.covariates, allow_empty=True)
     if X.shape[1] != payload["d"]:
-        raise ValueError(f"covariates have {X.shape[1]} columns but the fit used {payload['d']}")
+        raise InputValueError(f"covariates have {X.shape[1]} columns but the fit used {payload['d']}", "covariates")
     values = np.empty(0)
     if X.shape[0]:  # an empty covariate file has no graph to read
         predictors = {"gaussian": predict_gaussian, "logistic": predict_proba, "cox": predict_relative_risk}
@@ -242,7 +240,7 @@ def cmd_eval_auc(args) -> None:
     y = _read_single_column(args.response, "y")
     X = read_covariates(args.covariates)
     if X.shape[0] != y.shape[0]:
-        raise ValueError(f"covariates have {X.shape[0]} rows but {y.shape[0]} were expected")
+        raise InputValueError(f"covariates have {X.shape[0]} rows but {y.shape[0]} were expected", "covariates")
     design = _load_design(args, X, payload["K"])
     tol = payload["tol"]
     scores = []

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import PropagatedDesign, fit_inputs
+from .design import PropagatedDesign, finite_prediction, fit_inputs
+from .exceptions import InputValueError
 from ._newton import NewtonFit, newton_fields, newton_maximize
 
 DEFAULT_TOL = 1e-8
@@ -46,13 +47,13 @@ class SurvivalData:
         time = np.asarray(self.time, dtype=np.float64).ravel()
         event = np.asarray(self.event).ravel()
         if time.shape != event.shape:
-            raise ValueError("time and event must have the same length")
+            raise InputValueError("time and event must have the same length", "time", "event")
         if np.any(time <= 0) or not np.all(np.isfinite(time)):
-            raise ValueError("observed times must be positive and finite")
+            raise InputValueError("observed times must be positive and finite", "time")
         if not np.all((event == 0) | (event == 1)):
-            raise ValueError("event indicators must be 0/1")
+            raise InputValueError("event indicators must be 0/1", "event")
         if event.sum() == 0:
-            raise ValueError("at least one event is required")
+            raise InputValueError("at least one event is required", "event")
         self.time = time
         self.event = event.astype(np.int64)
 
@@ -186,7 +187,8 @@ def fit_cox(
     """
     X, columns = fit_inputs(design, "cox", centered=False)
     if surv.n != design.n_rows:
-        raise ValueError(f"survival data has {surv.n} rows, design has {design.n_rows}")
+        raise InputValueError(f"survival data has {surv.n} rows, design has {design.n_rows}",
+                              "time", "event", "covariates")
 
     engine = _RiskSetEngine(X, surv.time, surv.event)
     del X  # the engine holds its own sorted copy
@@ -204,7 +206,8 @@ def fit_cox(
 
 def predict_relative_risk(fit: CoxFit, design_new: PropagatedDesign) -> np.ndarray:
     """Hazard ratios ``exp(x'lambda_hat)`` for new rows."""
-    return np.exp(fit.gather(design_new) @ fit.lambda_hat)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite predictor or ratio is refused
+        return finite_prediction(np.exp(finite_prediction(fit.gather(design_new) @ fit.lambda_hat)))
 
 
 def simulate_cox_data(

@@ -23,6 +23,15 @@ DEFAULT_SELECT_TOL = 1e-8
 OUT_OF_RANGE = "values too large or too small: the fit's numbers do not fit a float in their units"
 
 
+def finite_prediction(values: np.ndarray) -> np.ndarray:
+    """``values``, or ``InputValueError`` naming the covariates when one is
+    not finite: a covariate the fit uses is not finite, or a product overflows."""
+    if not np.isfinite(values).all():
+        raise InputValueError("a prediction is not finite: a covariate the fit uses, or its propagation, "
+                              "is not finite or too large", "covariates")
+    return values
+
+
 @dataclass(eq=False)
 class PropagatedDesign:
     """The propagated design ``(X, WX, ..., W^K X)`` with column provenance.

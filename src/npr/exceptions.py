@@ -8,10 +8,12 @@ exit code 2 and the latter to exit code 1.
 
 
 class InputValueError(ValueError):
-    """An input's values cannot be fit: a non-finite value, or values so large
-    or small that a number the fit reports is no float in their units.
-    ``inputs`` names the inputs at fault, ``"covariates"`` or ``"response"``,
-    so that the CLI can name their files."""
+    """An input's values cannot be fit: a non-finite value, values so large or
+    small that a number the fit reports is no float in their units, values
+    outside their range (0/1 responses and events, positive times), or row
+    counts that do not match.  ``inputs`` names the inputs at fault, among
+    ``"covariates"``, ``"response"``, ``"time"`` and ``"event"``, so that the
+    CLI can name their files."""
 
     def __init__(self, message: str, *inputs: str):
         super().__init__(message)

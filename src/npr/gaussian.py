@@ -20,7 +20,7 @@ from scipy import linalg as sla
 from scipy import special
 
 from ._blas import one_thread
-from .design import OUT_OF_RANGE, FitRecord, PropagatedDesign, fit_inputs
+from .design import OUT_OF_RANGE, FitRecord, PropagatedDesign, finite_prediction, fit_inputs
 from .exceptions import InputValueError, ModelError, SingularMatrixError
 
 Z_95 = 1.959964  # two-sided 95% normal quantile used for intervals
@@ -122,7 +122,7 @@ def fit_ols(design: PropagatedDesign, y: np.ndarray) -> GaussianFit:
     n, p = X.shape
     y = np.asarray(y, dtype=np.float64).ravel()
     if y.shape[0] != n:
-        raise ValueError(f"response has {y.shape[0]} rows, design has {n}")
+        raise InputValueError(f"response has {y.shape[0]} rows, design has {n}", "response", "covariates")
     if not np.isfinite(y).all():
         bad = int(np.flatnonzero(~np.isfinite(y))[0])
         raise InputValueError(f"response has a non-finite value at row {bad} (0-based)", "response")
@@ -146,6 +146,8 @@ def fit_ols(design: PropagatedDesign, y: np.ndarray) -> GaussianFit:
     # arrays are held at once, the caller's design, the gather and Q
     Q, R = _qr(X)
     del X
+    if not np.isfinite(R).all():  # a column's norm overflows, and so does the gram the fit reports
+        raise InputValueError(OUT_OF_RANGE, "covariates")
     ex = np.frexp(np.abs(R).max(axis=0))[1]
     R = np.ldexp(R, -ex)
     # each column's residual ratio |R_jj| / ||R[:, j]||, the quantity that
@@ -198,9 +200,10 @@ def predict(fit: GaussianFit, design_new: PropagatedDesign) -> np.ndarray:
     applied here.
     """
     M = fit.gather(design_new)  # a fresh copy, safe to center in place
-    if fit.column_means is not None:
-        M -= fit.column_means
-    return fit.y_mean + M @ fit.theta_hat
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite prediction is refused
+        if fit.column_means is not None:
+            M -= fit.column_means
+        return finite_prediction(fit.y_mean + M @ fit.theta_hat)
 
 
 def t_statistics(fit: GaussianFit) -> list[dict]:
@@ -259,7 +262,9 @@ def wald_statistic(fit: GaussianFit, design: PropagatedDesign | None, j: int) ->
     theta_r = fit.theta_hat[idx]
     G = fit.gram_inverse[np.ix_(idx, idx)]
     try:
-        sol = sla.solve(G, theta_r, assume_a="pos")
+        with warnings.catch_warnings():  # an ill-conditioned G still gives its solve's T
+            warnings.simplefilter("ignore", sla.LinAlgWarning)
+            sol = sla.solve(G, theta_r, assume_a="pos")
     except np.linalg.LinAlgError:
         sol = sla.lstsq(G, theta_r)[0]
     T = float(fit.n * (theta_r @ sol) / fit.sigma2_hat)

@@ -44,12 +44,15 @@ class DirectedGraph:
         object.__setattr__(self, "edges", edges)
         if edges.size:
             if edges.min() < 0 or edges.max() >= self.n_nodes:
-                raise ValueError("edge endpoint out of range [0, n_nodes)")
-            if np.any(edges[:, 0] == edges[:, 1]):
-                raise ValueError("self-loops are not allowed")
+                bad = edges[((edges < 0) | (edges >= self.n_nodes)).any(axis=1)][0]
+                raise ValueError(f"edge {bad[0]},{bad[1]}: endpoint out of range [0, n_nodes)")
+            if np.any(loops := edges[:, 0] == edges[:, 1]):
+                bad = edges[loops][0]
+                raise ValueError(f"edge {bad[0]},{bad[1]}: self-loops are not allowed")
         codes = np.sort(edges[:, 0] * self.n_nodes + edges[:, 1])
-        if np.any(codes[1:] == codes[:-1]):
-            raise ValueError("duplicate edges are not allowed")
+        if np.any(repeated := codes[1:] == codes[:-1]):
+            src, dst = divmod(int(codes[1:][repeated][0]), self.n_nodes)
+            raise ValueError(f"edge {src},{dst}: duplicate edges are not allowed")
         object.__setattr__(self, "_codes", codes)
 
     @property
@@ -453,12 +456,16 @@ def read_edge_list(path, n_nodes: int | None = None) -> DirectedGraph:
     """Read a directed graph from a CSV file with header ``src,dst``.
 
     One 0-based integer edge per line.  When ``n_nodes`` is omitted it is
-    inferred as one plus the largest node id.
+    inferred as one plus the largest node id.  An edge the graph refuses
+    raises ``ValueError`` naming ``path`` and the edge.
     """
     edges = _read_csv(path, ["src", "dst"], np.int64, allow_empty=True)
     if n_nodes is None:
         n_nodes = int(edges.max()) + 1 if edges.size else 1
-    return DirectedGraph(n_nodes=n_nodes, edges=edges)
+    try:
+        return DirectedGraph(n_nodes=n_nodes, edges=edges)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_edge_list(path, g: DirectedGraph) -> None:

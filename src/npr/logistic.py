@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .design import PropagatedDesign, fit_inputs
-from .exceptions import SeparationError
+from .design import PropagatedDesign, finite_prediction, fit_inputs
+from .exceptions import InputValueError, SeparationError
 from ._newton import NewtonFit, newton_fields, newton_maximize
 
 DEFAULT_TOL = 1e-8
@@ -71,9 +71,9 @@ def fit_logistic(
     X, columns = fit_inputs(design, "logistic", centered=False)
     y = np.asarray(y, dtype=np.float64).ravel()
     if y.shape[0] != design.n_rows:
-        raise ValueError(f"response has {y.shape[0]} rows, design has {design.n_rows}")
+        raise InputValueError(f"response has {y.shape[0]} rows, design has {design.n_rows}", "response", "covariates")
     if not np.all((y == 0.0) | (y == 1.0)):
-        raise ValueError("logistic responses must be 0/1")
+        raise InputValueError("logistic responses must be 0/1", "response")
 
     X = np.column_stack([np.ones(design.n_rows), X])
 
@@ -109,7 +109,9 @@ def fit_logistic(
 
 def predict_proba(fit: LogisticFit, design_new: PropagatedDesign) -> np.ndarray:
     """Fitted success probabilities for new rows."""
-    return expit(fit.theta_hat[0] + fit.gather(design_new) @ fit.theta_hat[1:])
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite logit is refused
+        eta = fit.theta_hat[0] + fit.gather(design_new) @ fit.theta_hat[1:]
+    return expit(finite_prediction(eta))
 
 
 def auc(scores, labels) -> float:

@@ -287,6 +287,19 @@ class TestFitCommand:
         assert not out.exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_covariate_whose_column_norm_overflows_exits_2_naming_the_file(self, tmp_path, capsys):
+        # x1 at 1e308 in the first row: the QR factor of the centered design
+        # overflows, where its column norms once printed numpy's warning
+        lines = (TOY / "covariates.csv").read_text().splitlines()
+        lines[1] = "1e308," + lines[1].split(",")[1]
+        (tmp_path / "x.csv").write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o.json"
+        assert run("fit", "--family", "gaussian", "--edges", str(TOY / "edges.csv"), "--covariates",
+                   str(tmp_path / "x.csv"), "--response", str(TOY / "response.csv"), "--K", "2", "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'x.csv'}: values too large or too small")
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("k", [-540, -600, -1000])
     @pytest.mark.parametrize("family", ["logistic", "cox"])
     def test_covariate_whose_information_underflows_exits_2_naming_the_file(self, tmp_path, capsys, family, k):
@@ -552,6 +565,21 @@ class TestPredictCommand:
         rr = np.array([float(r["prediction"]) for r in csv.DictReader(open(out))])
         assert np.all(rr > 0)
 
+    @pytest.mark.parametrize("golden", GOLDEN_FITS)
+    @pytest.mark.parametrize("row", ["nan,1.0", "inf,1", "1e308,-1e308"])
+    def test_a_non_finite_prediction_exits_2_naming_the_covariates(self, tmp_path, capsys, golden, row):
+        lines = (TOY / "covariates.csv").read_text().splitlines()
+        lines[2] = row  # the second data row
+        (tmp_path / "x.csv").write_text("\n".join(lines) + "\n")
+        out = tmp_path / "p.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run("predict", "--fit", str(TOY / golden), "--edges", str(TOY / "edges.csv"),
+                       "--covariates", str(tmp_path / "x.csv"), "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'x.csv'}: a prediction is not finite")
+        assert not out.exists()
+
 
 class TestSimulateCommands:
     def test_simulate_deterministic_and_valid(self, tmp_path):
@@ -643,6 +671,21 @@ class TestSimulateCommands:
                    "--seed", "1", "--out", str(out)) == 1
         assert capsys.readouterr().err.startswith("error: zero residual variance")
         assert not out.exists()
+
+    def test_an_ill_conditioned_wald_solve_prints_no_warning(self, tmp_path):
+        # a replicate's restriction block has rcond ~ 1e-17; its T is kept
+        out = tmp_path / "t.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("simulate-test", "--case", "1", "--nulls", "2", "--n", "60", "--reps", "36",
+                       "--seed", "1", "--out", str(out)) == 0
+        holm, unadjusted = 31 / 36, 32 / 36
+        assert json.loads(out.read_text())["metrics"] == {
+            "EP": unadjusted, "ES": 0.875, "MP": holm, "FWER": holm, "CP": 0.24629629629629632, "n_nulls": 2,
+            "per_order_unadjusted_rejection": [unadjusted] * 4 + [holm],
+            "per_order_holm_rejection": [holm] * 5,
+            "selected_order_distribution": [5, 0, 0, 0, 0, 31],
+        }
 
     def test_invalid_config_exits_2(self, tmp_path):
         assert run(
@@ -832,6 +875,48 @@ class TestMain:
         assert not {"case", "setting", "reps", "seed"} & set(args[2])
 
 
+class TestRefusedValues:
+    """Each refused input value names the file it came from."""
+
+    ARGV = {  # a command on the toy inputs
+        "gaussian": "fit --family gaussian --edges edges.csv --covariates covariates.csv --response response.csv --K 2",
+        "logistic": "fit --family logistic --edges edges.csv --covariates covariates.csv --response binary.csv --K 2",
+        "cox": "fit --family cox --edges edges.csv --covariates covariates.csv --time time.csv --event event.csv --K 2",
+        "predict": "predict --fit golden_fit.json --edges edges.csv --covariates covariates.csv",
+        "eval-auc": "eval-auc --fit golden_logistic_fit.json --edges edges.csv --covariates covariates.csv "
+                    "--response binary.csv --splits 2 --seed 1",
+    }
+
+    CASES = [  # (command, the files damaged, the damage to their rows, the refusal)
+        ("gaussian", ["edges.csv"], lambda rows: rows + ["24,3"], "edge 24,3: endpoint out of range"),
+        ("gaussian", ["edges.csv"], lambda rows: rows + ["5,5"], "edge 5,5: self-loops are not allowed"),
+        ("gaussian", ["edges.csv"], lambda rows: rows + [rows[1]], "edge 10,11: duplicate edges"),
+        ("gaussian", ["response.csv"], lambda rows: rows[:-1], "response has 23 rows, design has 24"),
+        ("logistic", ["binary.csv"], lambda rows: rows[:-1], "response has 23 rows, design has 24"),
+        ("logistic", ["binary.csv"], lambda rows: [*rows[:-1], "2"], "logistic responses must be 0/1"),
+        ("cox", ["time.csv"], lambda rows: rows[:-1], "time and event must have the same length"),
+        ("cox", ["time.csv"], lambda rows: [*rows[:-1], "-1"], "observed times must be positive"),
+        ("cox", ["event.csv"], lambda rows: [*rows[:-1], "2"], "event indicators must be 0/1"),
+        ("cox", ["event.csv"], lambda rows: ["event"] + ["0"] * 24, "at least one event"),
+        ("cox", ["time.csv", "event.csv"], lambda rows: rows[:-1], "survival data has 23 rows, design has 24"),
+        ("predict", ["covariates.csv"], lambda rows: ["x1,x2,x3", "1,2,3"], "covariates have 3 columns but the fit used 2"),
+        ("eval-auc", ["covariates.csv"], lambda rows: rows[:-1], "covariates have 23 rows but 24 were expected"),
+    ]
+
+    @pytest.mark.parametrize("command, damaged, edit, message", CASES, ids=[f"{case[0]}-{case[-1]}" for case in CASES])
+    def test_names_the_file(self, tmp_path, capsys, command, damaged, edit, message):
+        for name in damaged:
+            (tmp_path / name).write_text("\n".join(edit((TOY / name).read_text().splitlines())) + "\n")
+        argv = [str(tmp_path / arg if arg in damaged else TOY / arg) if arg.endswith((".csv", ".json")) else arg
+                for arg in self.ARGV[command].split()]
+        out = tmp_path / "out"
+        assert run(*argv, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert all(str(tmp_path / name) in err.split(message)[0] for name in damaged)
+        assert not out.exists()
+
+
 class TestUnits:
     """A fit in other units: the toy inputs with y, or one covariate column,
     scaled by 2^k."""
@@ -936,6 +1021,92 @@ class TestNumericFlags:
             json.loads(text, parse_constant=lambda name: pytest.fail(f"{name} in a report"))
         else:
             assert text is None and err.getvalue().startswith(("error: ", "usage: "))
+
+
+class TestDamagedRows:
+    """One row of one toy input file damaged, deleted or appended: each command
+    that reads the file runs, or exits naming one of its input files."""
+
+    READERS = {  # file: the fit families that read it
+        "edges.csv": ["gaussian", "logistic", "cox"], "covariates.csv": ["gaussian", "logistic", "cox"],
+        "response.csv": ["gaussian"], "binary.csv": ["logistic"], "time.csv": ["cox"], "event.csv": ["cox"],
+    }
+    OUTCOME = {"gaussian": "--response response.csv", "logistic": "--response binary.csv",
+               "cox": "--time time.csv --event event.csv"}
+    TOKENS = ["abc", "", "nan", "inf", "-inf", "1e308", "-1", "1.5", "24"]
+    DAMAGES = [*TOKENS, "extra field", "missing field", "self-loop", "repeated row", "whitespace"]
+
+    @staticmethod
+    def damaged_row(data, rows: list[str], damage: str) -> str:
+        fields = rows[-1].split(",")
+        if damage == "extra field":
+            return rows[-1] + ",1"
+        if damage == "missing field":
+            return ",".join(fields[:-1])
+        if damage == "self-loop":
+            return ",".join([fields[0]] * len(fields))
+        if damage == "repeated row":
+            return data.draw(st.sampled_from(rows[1:]))
+        if damage == "whitespace":
+            return "   "
+        fields[data.draw(st.integers(0, len(fields) - 1))] = damage
+        return ",".join(fields)
+
+    @staticmethod
+    def outcome(command: str, argv: list[str]) -> tuple[int, str, str | None]:
+        """The exit code, stderr and output of ``npr command argv``; no warning
+        may be raised but the documented zero-residual-variance one."""
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            warnings.filterwarnings("ignore", "zero residual variance", RuntimeWarning)
+            out = Path(tmp) / "out"
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                try:
+                    code = run(command, *argv, "--out", str(out))
+                except SystemExit as exc:
+                    code = exc.code
+            text = out.read_text() if out.exists() else None
+        assert not caught, [str(w.message) for w in caught]
+        assert code in (0, 1, 2) and "Traceback" not in err.getvalue(), err.getvalue()
+        return code, err.getvalue(), text
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_a_damaged_row_runs_or_exits_naming_an_input(self, data):
+        name = data.draw(st.sampled_from(sorted(self.READERS)))
+        rows = (TOY / name).read_text().splitlines()
+        action = data.draw(st.sampled_from(["damage", "delete", "append"]))
+        at = data.draw(st.integers(0, len(rows) - 1))
+        if action == "delete":
+            del rows[at]
+        else:
+            row = self.damaged_row(data, rows, data.draw(st.sampled_from(self.DAMAGES)))
+            if action == "append":
+                rows.append(row)
+            else:
+                rows[at] = row
+        family = data.draw(st.sampled_from(self.READERS[name]))
+        with tempfile.TemporaryDirectory() as tmp:
+            bad = Path(tmp) / name
+            bad.write_text("\n".join(rows) + "\n")
+
+            def paths(argv: str) -> list[str]:
+                return [str(bad) if arg == name else str(TOY / arg) if arg.endswith((".csv", ".json")) else arg
+                        for arg in argv.split()]
+
+            runs = [("fit", paths(f"--family {family} --edges edges.csv --covariates covariates.csv "
+                                  f"{self.OUTCOME[family]} --K 2"))]
+            if name in ("edges.csv", "covariates.csv"):
+                runs.append(("predict", paths("--fit golden_fit.json --edges edges.csv --covariates covariates.csv")))
+            for command, argv in runs:
+                code, err, text = self.outcome(command, argv)
+                if code == 0 and command == "fit":
+                    json.loads(text, parse_constant=lambda constant: pytest.fail(f"{constant} in a report"))
+                elif code == 0:
+                    predictions = [float(r["prediction"]) for r in csv.DictReader(io.StringIO(text))]
+                    assert all(math.isfinite(v) for v in predictions), predictions
+                elif code == 2:
+                    assert any(path in err for path in argv if path.endswith((".csv", ".json"))), err
 
 
 class TestEvalAuc:
