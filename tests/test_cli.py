@@ -66,6 +66,23 @@ def write_rows(path, header, rows):
         w.writerows(rows)
 
 
+TOY_COMMANDS = {  # commands on the toy inputs, each named file a path under TOY
+    "gaussian": "fit --family gaussian --edges edges.csv --covariates covariates.csv --response response.csv --K 2",
+    "logistic": "fit --family logistic --edges edges.csv --covariates covariates.csv --response binary.csv --K 2",
+    "cox": "fit --family cox --edges edges.csv --covariates covariates.csv --time time.csv --event event.csv --K 2",
+    "predict": "predict --fit golden_fit.json --edges edges.csv --covariates covariates.csv",
+    "eval-auc": "eval-auc --fit golden_logistic_fit.json --edges edges.csv --covariates covariates.csv "
+                "--response binary.csv --splits 2 --seed 1",
+}
+
+
+def toy_argv(command: str, replaced: dict) -> list[str]:
+    """The arguments of ``TOY_COMMANDS[command]``, with each file that
+    ``replaced`` maps to another path read from there."""
+    return [str(replaced.get(arg, TOY / arg)) if arg.endswith((".csv", ".json")) else arg
+            for arg in TOY_COMMANDS[command].split()]
+
+
 @pytest.fixture
 def auc_inputs(tmp_path):
     """Paths of a 300-node graph, two covariates, a binary response and a
@@ -878,15 +895,6 @@ class TestMain:
 class TestRefusedValues:
     """Each refused input value names the file it came from."""
 
-    ARGV = {  # a command on the toy inputs
-        "gaussian": "fit --family gaussian --edges edges.csv --covariates covariates.csv --response response.csv --K 2",
-        "logistic": "fit --family logistic --edges edges.csv --covariates covariates.csv --response binary.csv --K 2",
-        "cox": "fit --family cox --edges edges.csv --covariates covariates.csv --time time.csv --event event.csv --K 2",
-        "predict": "predict --fit golden_fit.json --edges edges.csv --covariates covariates.csv",
-        "eval-auc": "eval-auc --fit golden_logistic_fit.json --edges edges.csv --covariates covariates.csv "
-                    "--response binary.csv --splits 2 --seed 1",
-    }
-
     CASES = [  # (command, the files damaged, the damage to their rows, the refusal)
         ("gaussian", ["edges.csv"], lambda rows: rows + ["24,3"], "edge 24,3: endpoint out of range"),
         ("gaussian", ["edges.csv"], lambda rows: rows + ["5,5"], "edge 5,5: self-loops are not allowed"),
@@ -907,10 +915,8 @@ class TestRefusedValues:
     def test_names_the_file(self, tmp_path, capsys, command, damaged, edit, message):
         for name in damaged:
             (tmp_path / name).write_text("\n".join(edit((TOY / name).read_text().splitlines())) + "\n")
-        argv = [str(tmp_path / arg if arg in damaged else TOY / arg) if arg.endswith((".csv", ".json")) else arg
-                for arg in self.ARGV[command].split()]
         out = tmp_path / "out"
-        assert run(*argv, "--out", str(out)) == 2
+        assert run(*toy_argv(command, {name: tmp_path / name for name in damaged}), "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert all(str(tmp_path / name) in err.split(message)[0] for name in damaged)
@@ -1027,20 +1033,18 @@ class TestDamagedRows:
     """One row of one toy input file damaged, deleted or appended: each command
     that reads the file runs, or exits naming one of its input files."""
 
-    READERS = {  # file: the fit families that read it
+    READERS = {  # file: the commands that read it
         "edges.csv": ["gaussian", "logistic", "cox"], "covariates.csv": ["gaussian", "logistic", "cox"],
         "response.csv": ["gaussian"], "binary.csv": ["logistic"], "time.csv": ["cox"], "event.csv": ["cox"],
     }
-    OUTCOME = {"gaussian": "--response response.csv", "logistic": "--response binary.csv",
-               "cox": "--time time.csv --event event.csv"}
-    TOKENS = ["abc", "", "nan", "inf", "-inf", "1e308", "-1", "1.5", "24"]
-    DAMAGES = [*TOKENS, "extra field", "missing field", "self-loop", "repeated row", "whitespace"]
+    DAMAGES = ["abc", "", "nan", "inf", "-inf", "1e308", "-1", "1.5", "24",
+               "extra field", "missing field", "self-loop", "repeated row", "whitespace"]
 
     @staticmethod
-    def damaged_row(data, rows: list[str], damage: str) -> str:
-        fields = rows[-1].split(",")
+    def damaged(data, rows: list[str], row: str, damage: str) -> str:
+        fields = row.split(",")
         if damage == "extra field":
-            return rows[-1] + ",1"
+            return row + ",1"
         if damage == "missing field":
             return ",".join(fields[:-1])
         if damage == "self-loop":
@@ -1053,16 +1057,16 @@ class TestDamagedRows:
         return ",".join(fields)
 
     @staticmethod
-    def outcome(command: str, argv: list[str]) -> tuple[int, str, str | None]:
-        """The exit code, stderr and output of ``npr command argv``; no warning
-        may be raised but the documented zero-residual-variance one."""
+    def outcome(argv: list[str]) -> tuple[int, str, str | None]:
+        """The exit code, stderr and output of ``npr argv``; no warning may
+        be raised but the documented zero-residual-variance one."""
         with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             warnings.filterwarnings("ignore", "zero residual variance", RuntimeWarning)
             out = Path(tmp) / "out"
             with contextlib.redirect_stderr(io.StringIO()) as err:
                 try:
-                    code = run(command, *argv, "--out", str(out))
+                    code = run(*argv, "--out", str(out))
                 except SystemExit as exc:
                     code = exc.code
             text = out.read_text() if out.exists() else None
@@ -1076,37 +1080,31 @@ class TestDamagedRows:
         name = data.draw(st.sampled_from(sorted(self.READERS)))
         rows = (TOY / name).read_text().splitlines()
         action = data.draw(st.sampled_from(["damage", "delete", "append"]))
-        at = data.draw(st.integers(0, len(rows) - 1))
+        at = data.draw(st.integers(0, len(rows) - 1))  # row 0 is the header
         if action == "delete":
             del rows[at]
         else:
-            row = self.damaged_row(data, rows, data.draw(st.sampled_from(self.DAMAGES)))
+            row = self.damaged(data, rows, rows[at], data.draw(st.sampled_from(self.DAMAGES)))
             if action == "append":
                 rows.append(row)
             else:
                 rows[at] = row
-        family = data.draw(st.sampled_from(self.READERS[name]))
+        commands = [data.draw(st.sampled_from(self.READERS[name]))]
+        if name in ("edges.csv", "covariates.csv"):
+            commands.append("predict")  # from the undamaged gaussian fit
         with tempfile.TemporaryDirectory() as tmp:
             bad = Path(tmp) / name
             bad.write_text("\n".join(rows) + "\n")
-
-            def paths(argv: str) -> list[str]:
-                return [str(bad) if arg == name else str(TOY / arg) if arg.endswith((".csv", ".json")) else arg
-                        for arg in argv.split()]
-
-            runs = [("fit", paths(f"--family {family} --edges edges.csv --covariates covariates.csv "
-                                  f"{self.OUTCOME[family]} --K 2"))]
-            if name in ("edges.csv", "covariates.csv"):
-                runs.append(("predict", paths("--fit golden_fit.json --edges edges.csv --covariates covariates.csv")))
-            for command, argv in runs:
-                code, err, text = self.outcome(command, argv)
-                if code == 0 and command == "fit":
-                    json.loads(text, parse_constant=lambda constant: pytest.fail(f"{constant} in a report"))
-                elif code == 0:
+            for command in commands:
+                argv = toy_argv(command, {name: bad})
+                code, err, text = self.outcome(argv)
+                if code == 0 and command == "predict":
                     predictions = [float(r["prediction"]) for r in csv.DictReader(io.StringIO(text))]
                     assert all(math.isfinite(v) for v in predictions), predictions
+                elif code == 0:
+                    json.loads(text, parse_constant=lambda constant: pytest.fail(f"{constant} in a report"))
                 elif code == 2:
-                    assert any(path in err for path in argv if path.endswith((".csv", ".json"))), err
+                    assert any(arg in err for arg in argv if arg.endswith((".csv", ".json"))), err
 
 
 class TestEvalAuc:
