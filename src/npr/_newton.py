@@ -119,7 +119,7 @@ class NewtonFit(FitRecord):
     @classmethod
     def _solver_fields(cls, get) -> dict:
         """The fields :meth:`_solver_block` wrote; the information and the trace are not reported."""
-        return dict(iterations=get("iterations", {int}), converged=get("converged", {bool}), information=None,
+        return dict(iterations=get("iterations", int), converged=get("converged", bool), information=None,
                     loglik_trace=[])
 
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .cox import CoxFit, SurvivalData, fit_cox, predict_relative_risk
-from .design import _NUMBER, _report_value, build_design, center, forward_select, read_covariates
+from .design import _report_value, build_design, center, forward_select, read_covariates
 from .exceptions import InputValueError, ModelError
 from .gaussian import (
     Z_95,
@@ -42,7 +42,7 @@ from .gaussian import (
 )
 from .graph import _read_csv, read_edge_list
 from .logistic import LogisticFit, auc, fit_logistic, predict_proba
-from .schemas import SCHEMA_VERSION, validate_report
+from .schemas import SCHEMA_VERSION, SchemaMismatch, check, load_schema, validate_report
 from .sim import ScenarioConfig, row_splits, run_prediction_study, run_test_study
 
 DEFAULT_TOL = 1e-8
@@ -116,8 +116,7 @@ class _Run:
         }}
         validate_report(report)
         with open(self.args.out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
 def _read_single_column(path, column: str) -> np.ndarray:
@@ -159,17 +158,31 @@ def cmd_fit(args) -> None:
     run.write("fit", {**body, **fit.to_report()})
 
 
+@functools.cache
+def _fit_schema() -> dict:
+    """The fit schema as ``test``, ``predict`` and ``eval-auc`` read a fit
+    report: its manifest may be left out, and is checked when present."""
+    schema = load_schema("fit")
+    return {**schema, "required": [key for key in schema["required"] if key != "manifest"]}
+
+
 def _load_fit(path):
-    """The fit record in the fit report at ``path``, and the report.  Only the keys that are
-    read are checked: a full schema validation costs far more than the read itself at large n."""
+    """The fit record in the fit report at ``path``, and the report, which
+    must match the fit schema.  A schema failure names its key, as
+    ``missing`` for a ``required`` one and ``bad`` for any other."""
     with open(path) as fh:
         report = json.load(fh)
     family = report.get("family") if isinstance(report, dict) else None
     if not (isinstance(family, str) and family in _FIT_RECORDS and report.get("kind") == "fit"
             and isinstance(report.get(family), dict)):
         raise ValueError(f"{path}: not a fit report")
+    try:
+        check(report, _fit_schema())
+    except SchemaMismatch as exc:
+        why = "missing" if exc.keyword == "required" else "bad"
+        raise ValueError(f"{path}: not a fit report ({why} '{exc.where}')") from None
     fit = _FIT_RECORDS[family].from_report(report, path)
-    _report_value(report, "tol", _NUMBER, path, "tol")  # the key cmd_fit writes and eval-auc reads
+    _report_value(report, "tol", float, path, "tol")  # the key cmd_fit writes and eval-auc reads
     return fit, report
 
 
@@ -244,11 +257,14 @@ def cmd_eval_auc(args) -> None:
     design = _load_design(args, X, payload["K"])
     tol = payload["tol"]
     scores = []
-    for train, test in row_splits(design.n_rows, args.train_frac, rng, args.splits):
+    for i, (train, test) in enumerate(row_splits(design.n_rows, args.train_frac, rng, args.splits), 1):
         sub = forward_select(design.subset_rows(train), tol=tol)
         fit = fit_logistic(sub, y[train], tol=tol)
         proba = predict_proba(fit, design.subset_rows(test))
-        scores.append(auc(proba, y[test]))
+        try:
+            scores.append(auc(proba, y[test]))
+        except ValueError as exc:  # the held-out labels are of one class
+            raise InputValueError(f"held-out split {i} of {args.splits}: {exc}", "response") from None
     scores = np.asarray(scores)
     mean, sd = float(scores.mean()), float(scores.std(ddof=1))
     half = Z_95 * sd / math.sqrt(scores.size)
@@ -344,7 +360,7 @@ def main(argv=None) -> int:
         named = " and ".join(str(path) for path in (getattr(args, name, None) for name in exc.inputs) if path)
         print(f"error: {named}: {exc}" if named else f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -81,7 +81,7 @@ class CoxFit(NewtonFit):
 
     @classmethod
     def _from_report_block(cls, get, estimates, std_errors) -> dict:
-        return dict(lambda_hat=estimates, partial_loglik=get("partial_loglik"), n_events=get("n_events", {int}),
+        return dict(lambda_hat=estimates, partial_loglik=get("partial_loglik"), n_events=get("n_events", int),
                     std_errors=std_errors, **cls._solver_fields(get))
 
 

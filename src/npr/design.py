@@ -243,29 +243,24 @@ def fit_inputs(design: PropagatedDesign, family: str, centered: bool) -> tuple[n
     }
 
 
-_NUMBER = {int, float}  # the Python types of a parsed JSON number; true and false are neither
-
-
 def _finite_floats(values) -> bool:
     """Whether parsed JSON numbers are finite floats: no NaN, infinity or integer past the floats."""
     return all(abs(v) <= sys.float_info.max for v in values)
 
 
 def _report_value(mapping: dict, key: str, kind, path, name: str):
-    """``mapping[key]`` of the fit report read from ``path``, where ``name`` is the key's place in
-    the report.  ``kind`` is a set of Python types, one of which the value must have exactly,
-    or the shape ``(p,)`` or ``(p, p)`` of a JSON array of numbers, returned as a float array.
-    A number that may be a float must be a finite one."""
-    if key not in mapping:
-        raise ValueError(f"{path}: not a fit report (missing '{name}')")
+    """``mapping[key]`` of a fit report read from ``path`` that matches the fit schema, where
+    ``name`` is the key's place in the report.  It checks what the schema cannot say.  ``kind`` is
+    ``int``, for a Python int (the schema's integers include 2.0), ``float``, for a number that is
+    a finite float, or the shape ``(p,)`` or ``(p, p)`` of an array of numbers, returned as a
+    float array; any other kind returns the value as it is."""
     value = mapping[key]
-    if isinstance(kind, set):
-        if type(value) in kind and (float not in kind or _finite_floats([value])):
-            return value
+    rows = value if isinstance(kind, tuple) and len(kind) == 2 else [value]
+    if kind is int and type(value) is not int or kind is float and not _finite_floats(rows):
         raise ValueError(f"{path}: not a fit report (bad '{name}')")
-    rows = value if len(kind) == 2 else [value]
-    if not (type(value) is list
-            and all(type(row) is list and set(map(type, row)) <= _NUMBER and _finite_floats(row) for row in rows)):
+    if not isinstance(kind, tuple):
+        return value
+    if not all(map(_finite_floats, rows)):
         raise ValueError(f"{path}: not a fit report (bad '{name}')")
     if len(value) != kind[0] or any(len(row) != kind[-1] for row in rows):
         raise ValueError(f"{path}: not a fit report ('{name}' does not match the {kind[0]} selected columns)")
@@ -311,31 +306,29 @@ class FitRecord:
     @classmethod
     def from_report(cls, report: dict, path) -> "FitRecord":
         """The fit that :meth:`to_report` wrote into ``report``, as far as prediction and the
-        order tests need it; ``report[cls.family]`` must be a dict.  A key that is missing, or
-        of the wrong type or size, raises ``ValueError`` naming ``path``."""
-        K, d, n = (_report_value(report, key, {int}, path, key) for key in ("K", "d", "n"))
-        selected = _report_value(report, "selected_columns", {list}, path, "selected_columns")
-        coefficients = _report_value(report, "coefficients", {list}, path, "coefficients")
+        order tests need it.  ``report`` must match the fit schema, with ``report[cls.family]``
+        a dict.  A value the schema admits and the fit cannot use raises ``ValueError`` naming
+        ``path``: an integer that is no Python int, a number that is no finite float, an array
+        of the wrong size, or a selected column outside the design."""
+        K, d, n = (_report_value(report, key, int, path, key) for key in ("K", "d", "n"))
+        selected, coefficients = report["selected_columns"], report["coefficients"]
         provenance = [(k, j) for k in range(K + 1) for j in range(d)]
-        if not all(type(c) is int and 0 <= c < len(provenance) for c in selected):
+        if not all(type(c) is int and c < len(provenance) for c in selected):
             raise ValueError(f"{path}: not a fit report (bad 'selected_columns')")
         if len(coefficients) != (p := len(selected)):
             raise ValueError(f"{path}: not a fit report ('coefficients' does not match the {p} selected columns)")
-        for i, coefficient in enumerate(coefficients):
-            if type(coefficient) is not dict:
-                raise ValueError(f"{path}: not a fit report (bad 'coefficients[{i}]')")
-        names, estimates, std_errors = (
-            [_report_value(c, key, kind, path, f"coefficients[{i}].{key}") for i, c in enumerate(coefficients)]
-            for key, kind in (("name", {str}), ("estimate", _NUMBER), ("std_error", _NUMBER))
+        estimates, std_errors = (
+            [_report_value(c, key, float, path, f"coefficients[{i}].{key}") for i, c in enumerate(coefficients)]
+            for key in ("estimate", "std_error")
         )
 
-        def get(key: str, kind=_NUMBER):
+        def get(key: str, kind=float):
             return _report_value(report[cls.family], key, kind, path, f"{cls.family}.{key}")
 
         return cls(
             selected=selected,
             provenance=provenance,
-            column_names=names,
+            column_names=[c["name"] for c in coefficients],
             n=n,
             **cls._from_report_block(get, *(np.asarray(a, dtype=np.float64) for a in (estimates, std_errors))),
         )

@@ -10,7 +10,9 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
+import jsonschema
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -813,6 +815,51 @@ class TestMain:
         assert capsys.readouterr().err == f"error: {fit}: not a fit report ({why} '{key}')\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("golden, edit, reason", [
+        ("golden_fit.json", lambda r: r["coefficients"][0].update(std_error=-1.0), "bad 'coefficients[0].std_error'"),
+        ("golden_fit.json", lambda r: r["coefficients"][3].update(order=-1), "bad 'coefficients[3].order'"),
+        ("golden_fit.json", lambda r: r["gaussian"].pop("gram_condition_number"),
+         "missing 'gaussian.gram_condition_number'"),
+        ("golden_fit.json", lambda r: r["gaussian"].update(sigma2_hat=-0.5), "bad 'gaussian.sigma2_hat'"),
+        ("golden_fit.json", lambda r: r.update(schema_version=2), "bad 'schema_version'"),
+        ("golden_fit.json", lambda r: r.update(tol=0), "bad 'tol'"),
+        ("golden_fit.json", lambda r: r.update(manifest={"command": "fit"}), "missing 'manifest.version'"),
+        ("golden_logistic_fit.json", lambda r: r.update(cox={}), "missing 'cox.partial_loglik'"),
+        ("golden_cox_fit.json", lambda r: r["cox"].update(n_events=0), "bad 'cox.n_events'"),
+    ], ids=["negative std_error", "negative order", "no condition number", "negative sigma2_hat",
+            "schema version 2", "zero tol", "short manifest", "another family's empty block", "no events"])
+    def test_fit_file_that_breaks_the_fit_schema_names_the_key(self, tmp_path, capsys, golden, edit, reason):
+        # the whole report must match fit.schema.json; the golden fits, which
+        # carry no manifest, show that a report without one is still read
+        payload = json.loads((TOY / golden).read_text())
+        edit(payload)
+        fit = tmp_path / "fit.json"
+        fit.write_text(json.dumps(payload))
+        out = tmp_path / "pred.csv"
+        assert run("predict", "--fit", str(fit), "--edges", str(TOY / "edges.csv"),
+                   "--covariates", str(TOY / "covariates.csv"), "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {fit}: not a fit report ({reason})\n"
+        assert not out.exists()
+
+    def test_a_key_error_inside_a_command_is_a_program_fault(self, monkeypatch, toy_fit, tmp_path):
+        # only input faults exit 2: a KeyError is a bug and leaves main
+        def broken(*args, **kwargs):
+            raise KeyError("x")
+
+        monkeypatch.setattr(npr.cli, "order_test", broken)
+        with pytest.raises(KeyError):
+            run("test", "--fit", str(toy_fit), "--kmax", "1", "--out", str(tmp_path / "test.json"))
+
+    def test_a_report_that_breaks_its_schema_is_a_program_fault(self, monkeypatch, toy_fit, tmp_path):
+        # a negative selected order is the program's error, not an input's:
+        # jsonschema's error leaves main, and no report is written
+        result = SimpleNamespace(to_dict=lambda: {"tests": [], "holm_rejections": [], "selected_order": -1})
+        monkeypatch.setattr(npr.cli, "order_test", lambda *args, **kwargs: result)
+        out = tmp_path / "test.json"
+        with pytest.raises(jsonschema.ValidationError):
+            run("test", "--fit", str(toy_fit), "--kmax", "1", "--out", str(out))
+        assert not out.exists()
+
     @given(data=st.data())
     @settings(max_examples=50, deadline=None)
     def test_a_damaged_fit_file_exits_2_without_a_traceback(self, data):
@@ -1136,6 +1183,13 @@ class TestEvalAuc:
             assert "--splits must be at least 2" in capsys.readouterr().err
             assert not (tmp_path / "a.json").exists()
 
+    def test_a_held_out_split_of_one_class_exits_2_naming_the_response_and_the_split(self, tmp_path, capsys):
+        out = tmp_path / "auc.json"
+        assert run(*toy_argv("eval-auc", {}), "--out", str(out)) == 2
+        assert capsys.readouterr().err == (f"error: {TOY / 'binary.csv'}: held-out split 2 of 2: "
+                                           "AUC undefined: need at least one positive and one negative label\n")
+        assert not out.exists()
+
     def test_requires_logistic_fit(self, toy_fit, tmp_path):
         assert run(
             "eval-auc", "--fit", str(toy_fit),
@@ -1203,11 +1257,23 @@ class TestManifest:
             assert type(manifest["seed"]) is int and "seed" not in manifest["arguments"]
 
 
+def cli_import_modules(prefix: str) -> list[str]:
+    """The modules under ``prefix`` that a fresh ``import npr.cli`` loads."""
+    src = str(Path(npr.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = f"import json, sys, npr.cli; print(json.dumps([m for m in sys.modules if m.startswith({prefix!r})]))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return json.loads(out.stdout)
+
+
 def test_cli_import_leaves_scipy_stats_out():
     # the CLI's start-up cost is mostly imports; scipy.stats alone costs
     # about as much as the rest of them together
-    src = str(Path(npr.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, npr.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert cli_import_modules("scipy.stats") == []
+
+
+@pytest.mark.parametrize("package", ["jsonschema", "referencing"])
+def test_cli_import_leaves_jsonschema_out(package):
+    # reports are checked by npr.schemas' own interpreter; jsonschema is
+    # imported only to raise on a report that fails its schema
+    assert cli_import_modules(package) == []
