@@ -46,10 +46,10 @@ class SchemaMismatch(Exception):
     fails it; a ``required`` failure's path ends at the missing key.  A
     failure inside an array of bare numbers is the array's."""
 
-    def __init__(self, keyword: str, message: str):
+    def __init__(self, keyword: str, message: str, *path):
         super().__init__(message)
         self.keyword = keyword
-        self.path: deque = deque()
+        self.path = deque(path)
 
     @property
     def where(self) -> str:
@@ -112,8 +112,9 @@ def _descend(value, key, schema: dict, doc: dict) -> None:
 
 def _items(values: list, schema: dict, doc: dict) -> None:
     """``items``: each entry of ``values`` matches ``schema``.  When ``schema``
-    is a number or integer type with bounds, and every entry is an int or a
-    float, the array is checked without a call per entry."""
+    is a number or integer type with bounds, the array fails as a whole, and
+    when every entry is also an int or a float, it is checked without a call
+    per entry."""
     if not (schema.get("type") in ("number", "integer") and schema.keys() <= {"type", *_BOUNDS}):
         for i, value in enumerate(values):
             _descend(value, i, schema, doc)
@@ -155,17 +156,16 @@ def _check(value, schema: dict, doc: dict) -> None:
             if keyword == "required":
                 for key in arg:
                     if key not in value:
-                        exc = SchemaMismatch(keyword, f"{key!r} is a required property")
-                        exc.path.append(key)
-                        raise exc
+                        raise SchemaMismatch(keyword, f"{key!r} is a required property", key)
             elif keyword == "properties":
                 for key, sub in arg.items():
                     if key in value:
                         _descend(value[key], key, sub, doc)
             elif keyword == "additionalProperties":
                 named = schema.get("properties", {})
-                for key in [key for key in value if key not in named]:
-                    _descend(value[key], key, arg, doc)
+                for key in value:
+                    if key not in named:
+                        _descend(value[key], key, arg, doc)
 
 
 def check(value, schema: dict) -> None:
