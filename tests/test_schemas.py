@@ -156,10 +156,10 @@ def test_accepts_exactly_the_reports_jsonschema_accepts(reports, data):
         mutation = data.draw(st.sampled_from(mutations))
         if mutation == "drop":
             del holder[key]
-        elif mutation == "add":
-            holder[data.draw(st.sampled_from(["extra", key + "_"]))] = data.draw(st.sampled_from(VALUES))
+        elif mutation == "add":  # a copy: a later mutation may reach inside it
+            holder[data.draw(st.sampled_from(["extra", key + "_"]))] = copy.deepcopy(data.draw(st.sampled_from(VALUES)))
         else:
-            holder[key] = data.draw(st.sampled_from(nearby(holder[key])) | st.sampled_from(VALUES))
+            holder[key] = copy.deepcopy(data.draw(st.sampled_from(nearby(holder[key])) | st.sampled_from(VALUES)))
     kind = reports[name]["kind"]
     assert accepts(report, load_schema(kind)) == oracle(kind).is_valid(report)
 
