@@ -657,6 +657,7 @@ class TestSimulateCommands:
             ("simulate_test_case2", ["simulate-test", "--case", "2", "--nulls", "3", "--n", "3000", "--seed", "1212"]),
             ("simulate_test_case3", ["simulate-test", "--case", "3", "--nulls", "2", "--n", "3000", "--seed", "1213"]),
             ("simulate_case2_setting3", ["simulate", "--case", "2", "--setting", "3", "--n", "1000", "--seed", "1204"]),
+            ("simulate_case1_setting2_n10000", ["simulate", "--case", "1", "--setting", "2", "--n", "10000", "--seed", "5"]),
         ],
     )
     def test_reproduces_golden_study(self, tmp_path, name, argv):
