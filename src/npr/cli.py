@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .cox import CoxFit, SurvivalData, fit_cox, predict_relative_risk
-from .design import _report_value, build_design, center, forward_select, read_covariates
+from .design import build_design, center, forward_select, read_covariates
 from .exceptions import InputValueError, ModelError
 from .gaussian import (
     Z_95,
@@ -166,12 +166,21 @@ def _fit_schema() -> dict:
     return {**schema, "required": [key for key in schema["required"] if key != "manifest"]}
 
 
+def _number(parse, text: str):
+    """The JSON number ``text`` read by ``parse``, or ``text`` itself when that is no finite
+    float or int within the float range (``1e400``, ``10**400``; an int of over 310 characters
+    is not read): the fit schema refuses a string wherever it types a number."""
+    value = parse(text) if parse is float or len(text) <= 310 else math.inf
+    return value if abs(value) <= sys.float_info.max else text
+
+
 def _load_fit(path):
     """The fit record in the fit report at ``path``, and the report, which
     must match the fit schema.  A schema failure names its key, as
     ``missing`` for a ``required`` one and ``bad`` for any other."""
     with open(path) as fh:
-        report = json.load(fh)
+        report = json.load(fh, parse_constant=str, parse_float=functools.partial(_number, float),
+                           parse_int=functools.partial(_number, int))  # NaN and ±Infinity as their text
     family = report.get("family") if isinstance(report, dict) else None
     if not (isinstance(family, str) and family in _FIT_RECORDS and report.get("kind") == "fit"
             and isinstance(report.get(family), dict)):
@@ -181,9 +190,7 @@ def _load_fit(path):
     except SchemaMismatch as exc:
         why = "missing" if exc.keyword == "required" else "bad"
         raise ValueError(f"{path}: not a fit report ({why} '{exc.where}')") from None
-    fit = _FIT_RECORDS[family].from_report(report, path)
-    _report_value(report, "tol", float, path, "tol")  # the key cmd_fit writes and eval-auc reads
-    return fit, report
+    return _FIT_RECORDS[family].from_report(report, path), report
 
 
 def cmd_test(args) -> None:

@@ -10,7 +10,6 @@ intercept for the Gaussian family.
 from __future__ import annotations
 
 import csv
-import sys
 from dataclasses import dataclass, replace
 from typing import ClassVar
 
@@ -237,31 +236,25 @@ def fit_inputs(design: PropagatedDesign, family: str, centered: bool) -> tuple[n
     names = design.column_names()
     return design.selected_matrix(), {
         "selected": list(design.selected),
-        "provenance": list(design.provenance),
+        "K": design.k_max,
+        "d": design.d,
         "column_names": [names[c] for c in design.selected],
         "n": design.n_rows,
     }
 
 
-def _finite_floats(values) -> bool:
-    """Whether parsed JSON numbers are finite floats: no NaN, infinity or integer past the floats."""
-    return all(abs(v) <= sys.float_info.max for v in values)
-
-
 def _report_value(mapping: dict, key: str, kind, path, name: str):
     """``mapping[key]`` of a fit report read from ``path`` that matches the fit schema, where
     ``name`` is the key's place in the report.  It checks what the schema cannot say.  ``kind`` is
-    ``int``, for a Python int (the schema's integers include 2.0), ``float``, for a number that is
-    a finite float, or the shape ``(p,)`` or ``(p, p)`` of an array of numbers, returned as a
-    float array; any other kind returns the value as it is."""
+    ``int``, for a Python int (the schema's integers include 2.0), or the shape ``(p,)`` or
+    ``(p, p)`` of an array of numbers, returned as a float array; any other kind returns the
+    value as it is."""
     value = mapping[key]
-    rows = value if isinstance(kind, tuple) and len(kind) == 2 else [value]
-    if kind is int and type(value) is not int or kind is float and not _finite_floats(rows):
+    if kind is int and type(value) is not int:
         raise ValueError(f"{path}: not a fit report (bad '{name}')")
     if not isinstance(kind, tuple):
         return value
-    if not all(map(_finite_floats, rows)):
-        raise ValueError(f"{path}: not a fit report (bad '{name}')")
+    rows = value if len(kind) == 2 else [value]
     if len(value) != kind[0] or any(len(row) != kind[-1] for row in rows):
         raise ValueError(f"{path}: not a fit report ('{name}' does not match the {kind[0]} selected columns)")
     return np.asarray(value, dtype=np.float64)
@@ -271,21 +264,28 @@ def _report_value(mapping: dict, key: str, kind, path, name: str):
 class FitRecord:
     """What every fit carries: the design columns it was fit on.
 
-    ``selected`` indexes the design's columns, ``provenance`` is the full
-    design layout (so a prediction design can be checked against it) and
-    ``column_names`` names the selected columns in order.  Each family gives
-    its report block by ``_report_block`` and reads it by ``_from_report_block``.
+    ``selected`` indexes the design's columns, ``K`` and ``d`` give the
+    design's layout (column c is covariate ``c % d`` diffused ``c // d``
+    steps; a prediction design is checked against it) and ``column_names``
+    names the selected columns in order.  Each family gives its report
+    block by ``_report_block`` and reads it by ``_from_report_block``.
     """
 
     family: ClassVar[str]  # the report's family name and the key of its block
     selected: list[int]
-    provenance: list[tuple[int, int]]
+    K: int
+    d: int
     column_names: list[str]
     n: int
 
+    @property
+    def provenance(self) -> list[tuple[int, int]]:
+        """The design's ``(order, covariate)`` layout, derived from ``K`` and ``d``."""
+        return [(k, j) for k in range(self.K + 1) for j in range(self.d)]
+
     def _coefficients(self, estimates, std_errors) -> list[dict]:
         return [
-            {"name": name, "order": int(self.provenance[c][0]), "covariate": int(self.provenance[c][1]),
+            {"name": name, "order": int(c) // self.d, "covariate": int(c) % self.d,
              "estimate": float(est), "std_error": float(se)}
             for name, c, est, se in zip(self.column_names, self.selected, estimates, std_errors)
         ]
@@ -298,8 +298,7 @@ class FitRecord:
         estimates, std_errors, block = self._report_block()
         if not np.isfinite([*estimates, *std_errors, *(v for v in block.values() if type(v) is float)]).all():
             raise InputValueError(OUT_OF_RANGE, "covariates")
-        K = self.provenance[-1][0]
-        return {"n": self.n, "K": K, "d": len(self.provenance) // (K + 1), self.family: block,
+        return {"n": self.n, "K": self.K, "d": self.d, self.family: block,
                 "selected_columns": [int(c) for c in self.selected],
                 "coefficients": self._coefficients(estimates, std_errors)}
 
@@ -307,35 +306,27 @@ class FitRecord:
     def from_report(cls, report: dict, path) -> "FitRecord":
         """The fit that :meth:`to_report` wrote into ``report``, as far as prediction and the
         order tests need it.  ``report`` must match the fit schema, with ``report[cls.family]``
-        a dict.  A value the schema admits and the fit cannot use raises ``ValueError`` naming
-        ``path``: an integer that is no Python int, a number that is no finite float, an array
-        of the wrong size, or a selected column outside the design."""
+        a dict and no number past the finite floats.  A value the schema admits and the fit
+        cannot use raises ``ValueError`` naming ``path``: an integer that is no Python int, an
+        array of the wrong size, or a selected column outside the design."""
         K, d, n = (_report_value(report, key, int, path, key) for key in ("K", "d", "n"))
         selected, coefficients = report["selected_columns"], report["coefficients"]
-        provenance = [(k, j) for k in range(K + 1) for j in range(d)]
-        if not all(type(c) is int and c < len(provenance) for c in selected):
+        if not all(type(c) is int and c < (K + 1) * d for c in selected):
             raise ValueError(f"{path}: not a fit report (bad 'selected_columns')")
         if len(coefficients) != (p := len(selected)):
             raise ValueError(f"{path}: not a fit report ('coefficients' does not match the {p} selected columns)")
-        estimates, std_errors = (
-            [_report_value(c, key, float, path, f"coefficients[{i}].{key}") for i, c in enumerate(coefficients)]
-            for key in ("estimate", "std_error")
-        )
+        estimates, std_errors = (np.asarray([c[key] for c in coefficients], dtype=np.float64)
+                                 for key in ("estimate", "std_error"))
 
-        def get(key: str, kind=float):
+        def get(key: str, kind=None):
             return _report_value(report[cls.family], key, kind, path, f"{cls.family}.{key}")
 
-        return cls(
-            selected=selected,
-            provenance=provenance,
-            column_names=[c["name"] for c in coefficients],
-            n=n,
-            **cls._from_report_block(get, *(np.asarray(a, dtype=np.float64) for a in (estimates, std_errors))),
-        )
+        return cls(selected=selected, K=K, d=d, column_names=[c["name"] for c in coefficients], n=n,
+                   **cls._from_report_block(get, estimates, std_errors))
 
     def gather(self, design_new: PropagatedDesign) -> np.ndarray:
         """The fit's selected columns of a raw design with the fit's layout."""
-        if list(design_new.provenance) != list(self.provenance):
+        if (design_new.k_max, design_new.d) != (self.K, self.d):
             raise ValueError("provenance mismatch between fit and new design")
         if design_new.centered:
             raise ValueError("predictions use the raw (uncentered) design")

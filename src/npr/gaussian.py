@@ -56,7 +56,7 @@ class GaussianFit(FitRecord):
 
     def selected_orders(self) -> np.ndarray:
         """Propagation order of each selected column."""
-        return np.asarray([self.provenance[c][0] for c in self.selected])
+        return np.asarray([c // self.d for c in self.selected])
 
     def _report_block(self) -> tuple:
         return self.theta_hat, self.std_errors, dict(
@@ -233,7 +233,7 @@ def t_statistics(fit: GaussianFit) -> list[dict]:
 def _order_bound(fit: GaussianFit, design: PropagatedDesign | None) -> int:
     if design is not None:
         return design.k_max
-    return max(k for k, _ in fit.provenance)
+    return fit.K
 
 
 @one_thread

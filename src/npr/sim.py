@@ -332,7 +332,7 @@ def _test_replicate(cfg: ScenarioConfig, n_nulls: int, seed: np.random.SeedSeque
     # coverage of 95% intervals over the truly nonzero coefficients
     covered = []
     for pos, col in enumerate(fit.selected):
-        k, j = fit.provenance[col]
+        k, j = divmod(col, fit.d)
         if k < n_signal_orders:
             truth = lambdas[k][j]
             covered.append(abs(fit.theta_hat[pos] - truth) <= Z_95 * fit.std_errors[pos])

@@ -26,6 +26,10 @@ TOY = Path(__file__).parent / "data" / "toy"
 SIM = Path(__file__).parent / "data" / "sim"
 GOLDEN_FITS = ["golden_fit.json", "golden_logistic_fit.json", "golden_cox_fit.json"]
 MISSING = object()  # a key deleted from a fit file
+# the numbers that are no finite float, by name and as JSON literals, and keys where a fit file may hold one
+NON_FINITE_LITERALS = {"NaN": "NaN", "Infinity": "Infinity", "-Infinity": "-Infinity", "1e400": "1e400",
+                       "10**400": "1" + "0" * 400}
+NON_FINITE_KEYS = ["gaussian.rss", "gaussian.gram_condition_number", "coefficients[0].estimate", "tol", "n", "K"]
 
 
 def golden_fit(**changes):
@@ -794,6 +798,11 @@ class TestMain:
                 ("golden_cox_fit.json", "cox.iterations", False),
                 ("golden_cox_fit.json", "coefficients[1].std_error", True),
             ]),
+            # a number that is no finite float, which json.dumps writes as NaN, Infinity, -Infinity or 1000...0
+            *(pytest.param("golden_fit.json", key, value, id=f"golden_fit.json-{key}={literal}")
+              for key in NON_FINITE_KEYS
+              for literal, value in [("NaN", math.nan), ("Infinity", math.inf), ("-Infinity", -math.inf),
+                                     ("10**400", 10 ** 400)]),
         ],
     )
     def test_fit_file_missing_a_key_names_it(self, tmp_path, capsys, golden, key, value):
@@ -841,6 +850,45 @@ class TestMain:
                    "--covariates", str(TOY / "covariates.csv"), "--out", str(out)) == 2
         assert capsys.readouterr().err == f"error: {fit}: not a fit report ({reason})\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("key, literal, named", [
+        pytest.param(key, NON_FINITE_LITERALS[name], named, id=f"{key}={name}") for key, name, named in [
+            *((key, "1e400", key) for key in NON_FINITE_KEYS),
+            # an array of bare numbers fails as a whole; a row of the gram fails as the row
+            *(("gaussian.column_means[0]", name, "gaussian.column_means") for name in NON_FINITE_LITERALS),
+            *(("gaussian.gram[2][1]", name, "gaussian.gram[2]") for name in NON_FINITE_LITERALS),
+            ("manifest.timestamp.wall_clock_sec", "NaN", "manifest.timestamp.wall_clock_sec"),
+            ("manifest.seed", "10**400", "manifest.seed"),
+        ]
+    ])
+    def test_a_number_that_is_no_finite_float_names_its_key(self, tmp_path, capsys, toy_fit, key, literal, named):
+        # the literal is written into the file as it is: json.dumps cannot write 1e400
+        payload = json.loads(toy_fit.read_text())
+        *parents, last = [int(part) if part.isdigit() else part
+                          for part in key.replace("[", ".").replace("]", "").split(".")]
+        holder = payload
+        for part in parents:
+            holder = holder[part]
+        holder[last] = "<literal>"
+        fit = tmp_path / "damaged.json"
+        fit.write_text(json.dumps(payload).replace('"<literal>"', literal))
+        out = tmp_path / "pred.csv"
+        assert run("predict", "--fit", str(fit), "--edges", str(TOY / "edges.csv"),
+                   "--covariates", str(TOY / "covariates.csv"), "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {fit}: not a fit report (bad '{named}')\n"
+        assert not out.exists()
+
+    def test_a_vast_k_is_read_as_a_number(self, tmp_path):
+        # the fit's design layout is read as K and d, and no list of its
+        # (K+1)d columns is built: the order tests up to 1 are the golden's
+        vast = tmp_path / "fit.json"
+        vast.write_text(json.dumps(golden_fit(K=10 ** 300)))
+        reports = []
+        for fit in (TOY / "golden_fit.json", vast):
+            out = tmp_path / "test.json"
+            assert run("test", "--fit", str(fit), "--kmax", "1", "--out", str(out)) == 0
+            reports.append({k: v for k, v in json.loads(out.read_text()).items() if k != "manifest"})
+        assert reports[1] == reports[0]
 
     def test_a_key_error_inside_a_command_is_a_program_fault(self, monkeypatch, toy_fit, tmp_path):
         # only input faults exit 2: a KeyError is a bug and leaves main
