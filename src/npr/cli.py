@@ -41,7 +41,7 @@ from .gaussian import (
     t_statistics,
 )
 from .graph import _read_csv, read_edge_list
-from .logistic import LogisticFit, auc, fit_logistic, predict_proba
+from .logistic import LogisticFit, auc, check_binary, fit_logistic, predict_proba
 from .schemas import SCHEMA_VERSION, SchemaMismatch, check, load_schema, validate_report
 from .sim import ScenarioConfig, row_splits, run_prediction_study, run_test_study
 
@@ -258,6 +258,7 @@ def cmd_eval_auc(args) -> None:
     if fit.family != "logistic":
         raise ValueError("eval-auc requires a logistic-family fit configuration")
     y = _read_single_column(args.response, "y")
+    check_binary(y)  # once, before the splits: a held-out row is scored, not fit
     X = read_covariates(args.covariates)
     if X.shape[0] != y.shape[0]:
         raise InputValueError(f"covariates have {X.shape[0]} rows but {y.shape[0]} were expected", "covariates")

@@ -50,6 +50,12 @@ def _log_likelihood(eta: np.ndarray, y: np.ndarray) -> float:
     return float(y @ eta - np.logaddexp(0.0, eta).sum())
 
 
+def check_binary(y: np.ndarray) -> None:
+    """Raise ``InputValueError`` naming the response unless each value of ``y`` is 0 or 1."""
+    if not np.all((y == 0.0) | (y == 1.0)):
+        raise InputValueError("logistic responses must be 0/1", "response")
+
+
 def fit_logistic(
     design: PropagatedDesign,
     y: np.ndarray,
@@ -72,8 +78,7 @@ def fit_logistic(
     y = np.asarray(y, dtype=np.float64).ravel()
     if y.shape[0] != design.n_rows:
         raise InputValueError(f"response has {y.shape[0]} rows, design has {design.n_rows}", "response", "covariates")
-    if not np.all((y == 0.0) | (y == 1.0)):
-        raise InputValueError("logistic responses must be 0/1", "response")
+    check_binary(y)
 
     X = np.column_stack([np.ones(design.n_rows), X])
 

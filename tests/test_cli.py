@@ -1239,6 +1239,19 @@ class TestEvalAuc:
                                            "AUC undefined: need at least one positive and one negative label\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("label", ["2", "nan"])
+    def test_a_response_outside_0_and_1_exits_2_before_the_splits(self, tmp_path, capsys, label):
+        # data row 8 falls only in held-out rows at seed 11, which are scored, not fit
+        rows = (TOY / "binary.csv").read_text().splitlines()
+        rows[8] = label
+        response, out = tmp_path / "y.csv", tmp_path / "auc.json"
+        response.write_text("\n".join(rows) + "\n")
+        assert run("eval-auc", "--fit", str(TOY / "golden_logistic_fit.json"), "--edges", str(TOY / "edges.csv"),
+                   "--covariates", str(TOY / "covariates.csv"), "--response", str(response),
+                   "--splits", "2", "--seed", "11", "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {response}: logistic responses must be 0/1\n"
+        assert not out.exists()
+
     def test_requires_logistic_fit(self, toy_fit, tmp_path):
         assert run(
             "eval-auc", "--fit", str(toy_fit),
