@@ -40,8 +40,9 @@ class LogisticFit(NewtonFit):
 
     @classmethod
     def _from_report_block(cls, get, estimates, std_errors) -> dict:
-        return dict(theta_hat=np.concatenate([[get("intercept")], estimates]),
-                    std_errors=np.concatenate([[get("intercept_std_error")], std_errors]),
+        # float(): an int past int64, which the schema admits, would make an object array
+        return dict(theta_hat=np.concatenate([[float(get("intercept"))], estimates]),
+                    std_errors=np.concatenate([[float(get("intercept_std_error"))], std_errors]),
                     log_likelihood=get("log_likelihood"), **cls._solver_fields(get))
 
 

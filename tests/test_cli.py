@@ -563,6 +563,15 @@ class TestPredictCommand:
         got = np.array([float(r["prediction"]) for r in csv.DictReader(open(out))])
         assert np.array_equal(got, expected)
 
+    def test_an_intercept_written_as_a_vast_int_is_read_as_a_float(self, tmp_path):
+        fit, out = tmp_path / "fit.json", tmp_path / "p.csv"
+        payload = json.loads((TOY / "golden_logistic_fit.json").read_text())
+        payload["logistic"]["intercept"] = 10 ** 300
+        fit.write_text(json.dumps(payload))
+        assert run("predict", "--fit", str(fit), "--edges", str(TOY / "edges.csv"),
+                   "--covariates", str(TOY / "covariates.csv"), "--out", str(out)) == 0
+        assert {row["prediction"] for row in csv.DictReader(open(out))} == {"1.0"}
+
     def test_cox_relative_risk_output(self, tmp_path):
         rng = np.random.default_rng(3)
         t = rng.exponential(1.0, 24) + 0.01
