@@ -1250,7 +1250,7 @@ class TestEvalAuc:
 
     @pytest.mark.parametrize("label", ["2", "nan"])
     def test_a_response_outside_0_and_1_exits_2_before_the_splits(self, tmp_path, capsys, label):
-        # data row 8 falls only in held-out rows at seed 11, which are scored, not fit
+        # at seed 11, data row 8 is held out in both splits: it is scored, never fit
         rows = (TOY / "binary.csv").read_text().splitlines()
         rows[8] = label
         response, out = tmp_path / "y.csv", tmp_path / "auc.json"
