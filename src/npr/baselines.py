@@ -26,7 +26,6 @@ from typing import ClassVar
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse import linalg as spla
 
 from .design import independent_columns
 from .exceptions import ConvergenceError, DegenerateDesignError
@@ -303,6 +302,8 @@ def _ar_solve_general(W: RowStochasticOperator, rhos, rhs: np.ndarray) -> np.nda
     for r in rhos:
         power = power @ W.csr
         A = A - r * power
+    from scipy.sparse import linalg as spla  # loaded only on this fallback
+
     return spla.spsolve(A.tocsc(), rhs)
 
 

@@ -123,12 +123,20 @@ def _read_single_column(path, column: str) -> np.ndarray:
     return _read_csv(path, [column], np.float64)[:, 0]
 
 
-def _load_design(args, X: np.ndarray, K: int):
-    """The propagated design of covariates ``X`` on the graph in ``args.edges``."""
+def _load_design(args, X: np.ndarray, K: int, k_from: str = "--K"):
+    """The propagated design of covariates ``X`` on the graph in ``args.edges``.
+    A ``K`` whose design cannot be allocated is refused naming ``k_from``,
+    where ``K`` came from."""
     from .graph import row_normalize
 
-    graph = read_edge_list(args.edges, n_nodes=X.shape[0])
-    return build_design(row_normalize(graph), X, K)
+    W = row_normalize(read_edge_list(args.edges, n_nodes=X.shape[0]))
+    n, columns = X.shape[0], (K + 1) * X.shape[1]
+    try:
+        if n * columns * 8 <= sys.maxsize:  # 8-byte floats; numpy refuses a larger array naming nothing
+            return build_design(W, X, K)
+    except MemoryError:
+        pass
+    raise ValueError(f"{k_from} {K}: the propagated design of {n} rows by {columns} columns cannot be allocated")
 
 
 def cmd_fit(args) -> None:
@@ -214,7 +222,7 @@ def cmd_predict(args) -> None:
     values = np.empty(0)
     if X.shape[0]:  # an empty covariate file has no graph to read
         predictors = {"gaussian": predict_gaussian, "logistic": predict_proba, "cox": predict_relative_risk}
-        values = predictors[fit.family](fit, _load_design(args, X, payload["K"]))
+        values = predictors[fit.family](fit, _load_design(args, X, payload["K"], f"{args.fit}: K"))
     # the bytes csv.writer gives: no field here needs quoting
     rows = "".join(f"{i},{v!r}\r\n" for i, v in enumerate(values.tolist()))
     with open(args.out, "w", newline="") as fh:
@@ -262,7 +270,7 @@ def cmd_eval_auc(args) -> None:
     X = read_covariates(args.covariates)
     if X.shape[0] != y.shape[0]:
         raise InputValueError(f"covariates have {X.shape[0]} rows but {y.shape[0]} were expected", "covariates")
-    design = _load_design(args, X, payload["K"])
+    design = _load_design(args, X, payload["K"], f"{args.fit}: K")
     tol = payload["tol"]
     scores = []
     for i, (train, test) in enumerate(row_splits(design.n_rows, args.train_frac, rng, args.splits), 1):

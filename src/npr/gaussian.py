@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import lapack_lite
 from scipy import linalg as sla
-from scipy import special
 
 from ._blas import one_thread
 from .design import OUT_OF_RANGE, FitRecord, PropagatedDesign, finite_prediction, fit_inputs
@@ -208,6 +207,8 @@ def predict(fit: GaussianFit, design_new: PropagatedDesign) -> np.ndarray:
 
 def t_statistics(fit: GaussianFit) -> list[dict]:
     """Per-coefficient estimates, standard errors, z-tests and 95% CIs."""
+    from scipy import special  # imported here, not at start-up: prediction studies never need it
+
     out = []
     if fit.sigma2_hat == 0.0:
         warnings.warn(
@@ -319,6 +320,8 @@ def _chi2_sf(T: float, m: int) -> float:
     """``scipy.stats.chi2.sf(T, df=m)`` from ``scipy.special``, which
     imports in a fraction of the time; below the support (a negative Wald
     statistic from the least-squares fallback) the tail is 1."""
+    from scipy import special
+
     return 1.0 if T < 0 else float(special.chdtrc(m, T))
 
 
@@ -354,6 +357,8 @@ def order_test(
                 p = _chi2_sf(T, m)
                 regime = "chi2"
             else:
+                from scipy import special
+
                 p = float(min(max(2.0 * (1.0 - special.ndtr(z)), 0.0), 1.0))
                 regime = "normal"
             rec.update({"Z": z, "p": p, "regime": regime})

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .design import PropagatedDesign, finite_prediction, fit_inputs
 from .exceptions import InputValueError, SeparationError
@@ -75,6 +74,8 @@ def fit_logistic(
     while the iteration is still moving, the signature of a likelihood
     maximized only at infinity.
     """
+    from scipy.special import expit  # imported here, not at start-up: the studies never need it
+
     X, columns = fit_inputs(design, "logistic", centered=False)
     y = np.asarray(y, dtype=np.float64).ravel()
     if y.shape[0] != design.n_rows:
@@ -115,6 +116,8 @@ def fit_logistic(
 
 def predict_proba(fit: LogisticFit, design_new: PropagatedDesign) -> np.ndarray:
     """Fitted success probabilities for new rows."""
+    from scipy.special import expit
+
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite logit is refused
         eta = fit.theta_hat[0] + fit.gather(design_new) @ fit.theta_hat[1:]
     return expit(finite_prediction(eta))

@@ -5,6 +5,7 @@ or in failure output).  Tolerances are fixed here, not tuned at runtime.
 """
 
 import contextlib
+import copy
 import json
 
 import numpy as np
@@ -12,7 +13,8 @@ import pytest
 from scipy import stats
 from scipy.special import expit
 
-from npr.baselines import Lim2Params, LimParams, gen_lim, lambda_series_lim, lambda_series_lim2
+from npr._blas import all_one_thread
+from npr.baselines import Lim2Params, LimParams, gen_lim, gen_npr, lambda_series_lim, lambda_series_lim2
 from npr.cox import _RiskSetEngine, SurvivalData, fit_cox
 from npr.design import build_design, center, forward_select
 from npr.gaussian import fit_ols, wald_statistic
@@ -132,10 +134,10 @@ def test_criterion_05_competitor_collapse_under_misspecification():
             assert metrics[name]["mean"] < 0.5, name
 
 
-def test_criterion_06_sequential_test_operating_characteristics():
+def test_criterion_06_sequential_test_operating_characteristics(pooled_test_study):
     with criterion(6, "testing-study error rates, power and coverage at N=3000"):
         cfg = ScenarioConfig(case=1, setting=3, n=3000, reps=1000, seed=20250843)
-        m = run_test_study(cfg, n_nulls=3).metrics
+        m = pooled_test_study(cfg, n_nulls=3).metrics
         print(
             "  EP=%.3f ES=%.3f MP=%.3f FWER=%.3f CP=%.3f"
             % (m["EP"], m["ES"], m["MP"], m["FWER"], m["CP"])
@@ -158,20 +160,21 @@ def test_criterion_06_smoke_variant():
 
 def test_criterion_07_noise_variance_consistency():
     with criterion(7, "residual-variance estimator centered on the truth, bias shrinking"):
+        def sigma2_hat(n, rng):
+            W = row_normalize(gen_erdos_renyi(n, rng))
+            X = rng.standard_normal((n, 10))
+            lambdas = [rng.uniform(0, 5, 10) for _ in range(6)]
+            y = gen_npr(W, X, lambdas, sigma=1.0, seed=rng)
+            design = forward_select(center(build_design(W, X, 8)))
+            return fit_ols(design, y).sigma2_hat
+
         rng = np.random.default_rng(107)
         reps = 300
         results = {}
         for n in (500, 1000, 2000):
-            vals = []
-            for _ in range(reps):
-                W = row_normalize(gen_erdos_renyi(n, rng))
-                X = rng.standard_normal((n, 10))
-                lambdas = [rng.uniform(0, 5, 10) for _ in range(6)]
-                from npr.baselines import gen_npr
-
-                y = gen_npr(W, X, lambdas, sigma=1.0, seed=rng)
-                design = forward_select(center(build_design(W, X, 8)))
-                vals.append(fit_ols(design, y).sigma2_hat)
+            first = sigma2_hat(n, copy.deepcopy(rng))  # at the default thread count
+            vals = all_one_thread(lambda: [sigma2_hat(n, rng) for _ in range(reps)])()
+            assert vals[0] == first
             mean = float(np.mean(vals))
             se = float(np.std(vals, ddof=1) / np.sqrt(reps))
             results[n] = (mean, se)
@@ -181,6 +184,20 @@ def test_criterion_07_noise_variance_consistency():
         m500, s500 = results[500]
         m2000, s2000 = results[2000]
         assert abs(m2000 - 1.0) <= abs(m500 - 1.0) + 3 * np.hypot(s500, s2000)
+
+
+def null_statistics(design, j, rng, reps=2000):
+    """Wald statistics for order ``j`` on ``reps`` null responses, with numpy's
+    and scipy's OpenBLAS on one thread after checking that the first equals
+    the one at the default thread count."""
+
+    def statistic(rng):
+        return wald_statistic(fit_ols(design, rng.standard_normal(design.n_rows)), design, j)["T"]
+
+    first = statistic(copy.deepcopy(rng))
+    samples = all_one_thread(lambda: [statistic(rng) for _ in range(reps)])()
+    assert samples[0] == first
+    return samples
 
 
 def test_criterion_08_wald_null_calibration():
@@ -193,11 +210,7 @@ def test_criterion_08_wald_null_calibration():
         design = forward_select(center(build_design(W, X, 1)))
         orders = np.array([design.provenance[c][0] for c in design.selected])
         assert int((orders >= 1).sum()) == 5
-        samples = []
-        for _ in range(2000):
-            y = rng.standard_normal(n)
-            fit = fit_ols(design, y)
-            samples.append(wald_statistic(fit, design, 1)["T"])
+        samples = null_statistics(design, 1, rng)
         ks = stats.kstest(samples, stats.chi2(5).cdf).statistic
         print(f"  m=5: KS distance {ks:.4f}")
         assert ks < 0.05
@@ -208,13 +221,7 @@ def test_criterion_08_wald_null_calibration():
         X = rng.standard_normal((n, d))
         design = forward_select(center(build_design(W, X, K)))
         assert len(design.selected) == 60
-        zs = []
-        for _ in range(2000):
-            y = rng.standard_normal(n)
-            fit = fit_ols(design, y)
-            T = wald_statistic(fit, design, 0)["T"]
-            zs.append((T - 60) / np.sqrt(120.0))
-        zs = np.asarray(zs)
+        zs = (np.asarray(null_statistics(design, 0, rng)) - 60) / np.sqrt(120.0)
         print(f"  m=60: mean(Z)={zs.mean():.4f} var(Z)={zs.var(ddof=1):.4f}")
         assert abs(zs.mean()) <= 0.1
         assert abs(zs.var(ddof=1) - 1.0) <= 0.15

@@ -30,6 +30,8 @@ MISSING = object()  # a key deleted from a fit file
 NON_FINITE_LITERALS = {"NaN": "NaN", "Infinity": "Infinity", "-Infinity": "-Infinity", "1e400": "1e400",
                        "10**400": "1" + "0" * 400}
 NON_FINITE_KEYS = ["gaussian.rss", "gaussian.gram_condition_number", "coefficients[0].estimate", "tol", "n", "K"]
+# Ks of designs past the address space, and past any array numpy can describe
+VAST_KS = [pytest.param(10 ** 12, id="10**12"), pytest.param(10 ** 300, id="10**300")]
 
 
 def golden_fit(**changes):
@@ -171,6 +173,20 @@ class TestFitCommand:
 
     def test_report_validates_against_schema(self, toy_fit):
         validate_report(json.loads(toy_fit.read_text()))
+
+    @pytest.mark.parametrize("K", VAST_KS)
+    def test_a_k_whose_design_cannot_be_allocated_exits_2_naming_the_flag(self, tmp_path, capsys, K):
+        out = tmp_path / "fit.json"
+        argv = toy_argv("gaussian", {})[:-2]  # without its "--K 2"
+        assert run(*argv, "--K", str(K), "--out", str(out)) == 2
+        assert capsys.readouterr().err == (f"error: --K {K}: the propagated design of 24 rows by {2 * (K + 1)} "
+                                           "columns cannot be allocated\n")
+        assert not out.exists()
+
+    def test_a_negative_k_keeps_its_message(self, tmp_path, capsys):
+        argv = toy_argv("gaussian", {})[:-2]
+        assert run(*argv, "--K", "-1", "--out", str(tmp_path / "fit.json")) == 2
+        assert capsys.readouterr().err == "error: K must be non-negative\n"
 
     @pytest.mark.parametrize(
         "command, inputs",
@@ -571,6 +587,15 @@ class TestPredictCommand:
         assert run("predict", "--fit", str(fit), "--edges", str(TOY / "edges.csv"),
                    "--covariates", str(TOY / "covariates.csv"), "--out", str(out)) == 0
         assert {row["prediction"] for row in csv.DictReader(open(out))} == {"1.0"}
+
+    @pytest.mark.parametrize("K", VAST_KS)
+    def test_a_fit_k_whose_design_cannot_be_allocated_exits_2_naming_the_fit(self, tmp_path, capsys, K):
+        fit, out = tmp_path / "fit.json", tmp_path / "p.csv"
+        fit.write_text(json.dumps(golden_fit(K=K)))
+        assert run(*toy_argv("predict", {"golden_fit.json": fit}), "--out", str(out)) == 2
+        assert capsys.readouterr().err == (f"error: {fit}: K {K}: the propagated design of 24 rows by {2 * (K + 1)} "
+                                           "columns cannot be allocated\n")
+        assert not out.exists()
 
     def test_cox_relative_risk_output(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -1261,6 +1286,15 @@ class TestEvalAuc:
         assert capsys.readouterr().err == f"error: {response}: logistic responses must be 0/1\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("K", VAST_KS)
+    def test_a_fit_k_whose_design_cannot_be_allocated_exits_2_naming_the_fit(self, tmp_path, capsys, K):
+        fit, out = tmp_path / "fit.json", tmp_path / "auc.json"
+        fit.write_text(json.dumps({**json.loads((TOY / "golden_logistic_fit.json").read_text()), "K": K}))
+        assert run(*toy_argv("eval-auc", {"golden_logistic_fit.json": fit}), "--out", str(out)) == 2
+        assert capsys.readouterr().err == (f"error: {fit}: K {K}: the propagated design of 24 rows by {2 * (K + 1)} "
+                                           "columns cannot be allocated\n")
+        assert not out.exists()
+
     def test_requires_logistic_fit(self, toy_fit, tmp_path):
         assert run(
             "eval-auc", "--fit", str(toy_fit),
@@ -1328,13 +1362,16 @@ class TestManifest:
             assert type(manifest["seed"]) is int and "seed" not in manifest["arguments"]
 
 
-def cli_import_modules(*prefixes: str) -> list[str]:
-    """The modules under any of ``prefixes`` that a fresh ``import npr.cli`` loads."""
+def cli_import_modules(*prefixes: str, argv: list[str] | None = None) -> list[str]:
+    """The modules under any of ``prefixes`` that a fresh ``import npr.cli``
+    loads, and then, given ``argv``, a successful ``npr.cli.main(argv)``."""
     src = str(Path(npr.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = f"import json, sys, npr.cli; print(json.dumps([m for m in sys.modules if m.startswith({prefixes!r})]))"
+    code = ("import json, sys, npr.cli\n"
+            f"if {argv!r} is not None: assert npr.cli.main({argv!r}) == 0\n"
+            f"print(json.dumps([m for m in sys.modules if m.startswith({prefixes!r})]))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    return json.loads(out.stdout)
+    return json.loads(out.stdout.splitlines()[-1])
 
 
 def test_cli_import_leaves_scipy_stats_out():
@@ -1347,3 +1384,24 @@ def test_cli_import_leaves_jsonschema_out():
     # reports are checked by npr.schemas' own interpreter; jsonschema is
     # imported only to raise on a report that fails its schema
     assert cli_import_modules("jsonschema", "referencing") == []
+
+
+DEFERRED_SCIPY = ("scipy.special", "scipy.sparse.linalg")
+
+
+def test_cli_import_leaves_scipy_special_and_sparse_linalg_out():
+    # scipy.special serves only p-values and the logistic link, and
+    # scipy.sparse.linalg only the 2SLS competitor's direct-solve fallback
+    assert cli_import_modules(*DEFERRED_SCIPY) == []
+
+
+def test_prediction_study_loads_neither_scipy_special_nor_sparse_linalg(tmp_path):
+    argv = ["simulate", "--case", "3", "--setting", "1", "--n", "200", "--reps", "2", "--seed", "1",
+            "--out", str(tmp_path / "study.json")]
+    assert cli_import_modules(*DEFERRED_SCIPY, argv=argv) == []
+
+
+def test_gaussian_fit_loads_scipy_special(tmp_path):
+    # the t statistics' p-values need it, so the checks above are not vacuous
+    argv = toy_argv("gaussian", {}) + ["--out", str(tmp_path / "fit.json")]
+    assert "scipy.special" in cli_import_modules(*DEFERRED_SCIPY, argv=argv)

@@ -190,12 +190,12 @@ class TestTestingStudy:
         assert per_order[0] > 0.9
         assert rep.metrics["ES"] < 0.3
 
-    def test_type_one_error_shrinks_toward_level_with_n(self):
+    def test_type_one_error_shrinks_toward_level_with_n(self, pooled_test_study):
         # the per-test size runs above the nominal level in small samples
         # and approaches it as the network grows
         es = {}
         for n in (1000, 5000):
             cfg = ScenarioConfig(case=1, setting=3, n=n, reps=250, seed=31)
-            es[n] = run_test_study(cfg, n_nulls=3).metrics["ES"]
+            es[n] = pooled_test_study(cfg, n_nulls=3).metrics["ES"]
         assert es[5000] < es[1000]
         assert abs(es[5000] - 0.05) < 0.025
