@@ -34,6 +34,11 @@ NON_FINITE_KEYS = ["gaussian.rss", "gaussian.gram_condition_number", "coefficien
 VAST_KS = [pytest.param(10 ** 12, id="10**12"), pytest.param(10 ** 300, id="10**300")]
 
 
+def unallocatable(k_from: str, K: int) -> str:
+    """The refusal of a toy design at ``K``, which came from ``k_from``."""
+    return f"error: {k_from} {K}: the propagated design of 24 rows by {2 * (K + 1)} columns cannot be allocated\n"
+
+
 def golden_fit(**changes):
     """The toy gaussian golden fit with some top-level keys replaced."""
     return {**json.loads((TOY / "golden_fit.json").read_text()), **changes}
@@ -179,8 +184,7 @@ class TestFitCommand:
         out = tmp_path / "fit.json"
         argv = toy_argv("gaussian", {})[:-2]  # without its "--K 2"
         assert run(*argv, "--K", str(K), "--out", str(out)) == 2
-        assert capsys.readouterr().err == (f"error: --K {K}: the propagated design of 24 rows by {2 * (K + 1)} "
-                                           "columns cannot be allocated\n")
+        assert capsys.readouterr().err == unallocatable("--K", K)
         assert not out.exists()
 
     def test_a_negative_k_keeps_its_message(self, tmp_path, capsys):
@@ -593,8 +597,7 @@ class TestPredictCommand:
         fit, out = tmp_path / "fit.json", tmp_path / "p.csv"
         fit.write_text(json.dumps(golden_fit(K=K)))
         assert run(*toy_argv("predict", {"golden_fit.json": fit}), "--out", str(out)) == 2
-        assert capsys.readouterr().err == (f"error: {fit}: K {K}: the propagated design of 24 rows by {2 * (K + 1)} "
-                                           "columns cannot be allocated\n")
+        assert capsys.readouterr().err == unallocatable(f"{fit}: K", K)
         assert not out.exists()
 
     def test_cox_relative_risk_output(self, tmp_path):
@@ -1291,8 +1294,7 @@ class TestEvalAuc:
         fit, out = tmp_path / "fit.json", tmp_path / "auc.json"
         fit.write_text(json.dumps({**json.loads((TOY / "golden_logistic_fit.json").read_text()), "K": K}))
         assert run(*toy_argv("eval-auc", {"golden_logistic_fit.json": fit}), "--out", str(out)) == 2
-        assert capsys.readouterr().err == (f"error: {fit}: K {K}: the propagated design of 24 rows by {2 * (K + 1)} "
-                                           "columns cannot be allocated\n")
+        assert capsys.readouterr().err == unallocatable(f"{fit}: K", K)
         assert not out.exists()
 
     def test_requires_logistic_fit(self, toy_fit, tmp_path):
@@ -1368,8 +1370,8 @@ def cli_import_modules(*prefixes: str, argv: list[str] | None = None) -> list[st
     src = str(Path(npr.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = ("import json, sys, npr.cli\n"
-            f"if {argv!r} is not None: assert npr.cli.main({argv!r}) == 0\n"
-            f"print(json.dumps([m for m in sys.modules if m.startswith({prefixes!r})]))")
+            + (f"assert npr.cli.main({argv!r}) == 0\n" if argv else "")
+            + f"print(json.dumps([m for m in sys.modules if m.startswith({prefixes!r})]))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     return json.loads(out.stdout.splitlines()[-1])
 
