@@ -1,10 +1,10 @@
 """Augmented design matrices built from propagated covariates.
 
-A :class:`PropagatedDesign` stacks the blocks ``X, WX, ..., W^K X`` and
-tracks, for every column, which propagation order and covariate it came
-from.  Forward selection screens out (nearly) linearly dependent columns;
-centering removes column means, which is the projection that kills the
-intercept for the Gaussian family.
+A :class:`PropagatedDesign` stacks the blocks ``X, WX, ..., W^K X``, so
+its K gives every column's propagation order and covariate.  Forward
+selection screens out (nearly) linearly dependent columns; centering
+removes column means, which is the projection that kills the intercept
+for the Gaussian family.
 """
 
 from __future__ import annotations
@@ -31,42 +31,47 @@ def finite_prediction(values: np.ndarray) -> np.ndarray:
     return values
 
 
+def column_names(columns, d: int) -> list[str]:
+    """``k{order}_x{covariate}`` (1-based x) for each column c of a layout of ``d`` covariates."""
+    return [f"k{c // d}_x{c % d + 1}" for c in columns]
+
+
 @dataclass(eq=False)
 class PropagatedDesign:
-    """The propagated design ``(X, WX, ..., W^K X)`` with column provenance.
+    """The propagated design ``(X, WX, ..., W^K X)``.
 
     ``matrix`` holds every column in one C-contiguous ``(n, (K+1)d)``
-    array.  ``provenance[c] == (k, j)`` means column c is covariate j
-    diffused k steps.  ``selected`` lists the column indices admitted by
-    forward selection, in scan order; ``column_means`` records the means
-    subtracted when the design was centered (needed to center new rows
-    consistently at prediction time).
+    array; column c is covariate ``c % d`` diffused ``c // d`` steps.
+    ``selected`` lists the column indices admitted by forward selection, in
+    scan order; ``column_means`` records the means subtracted when the
+    design was centered (needed to center new rows consistently at
+    prediction time).
     """
 
     matrix: np.ndarray
-    provenance: list[tuple[int, int]]
+    K: int
     selected: list[int] | None = None
     centered: bool = False
     column_means: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.K < 0 or self.matrix.shape[1] % (self.K + 1):
+            raise ValueError(f"K={self.K} is no layout of a design of {self.matrix.shape[1]} columns")
 
     @property
     def n_rows(self) -> int:
         return self.matrix.shape[0]
 
     @property
-    def k_max(self) -> int:
-        return self.provenance[-1][0]
-
-    @property
     def d(self) -> int:
-        return self.n_columns // (self.k_max + 1)
+        return self.n_columns // (self.K + 1)
 
     @property
     def n_columns(self) -> int:
-        return len(self.provenance)
+        return self.matrix.shape[1]
 
     def full_matrix(self) -> np.ndarray:
-        """All columns, in provenance order."""
+        """All columns, in layout order."""
         return self.matrix
 
     def selected_matrix(self) -> np.ndarray:
@@ -75,19 +80,19 @@ class PropagatedDesign:
         return self.matrix[:, self.selected]
 
     def column_names(self) -> list[str]:
-        """Provenance-derived names, ``k{order}_x{covariate}`` (1-based x)."""
-        return [f"k{k}_x{j + 1}" for k, j in self.provenance]
+        """The names of all columns, by :func:`column_names`."""
+        return column_names(range(self.n_columns), self.d)
 
     def subset_rows(self, rows) -> "PropagatedDesign":
         """New design restricted to the given rows.
 
-        Provenance, selection and centering metadata carry over unchanged;
+        K, selection and centering metadata carry over unchanged;
         ``column_means`` still describes the transform originally applied,
         not the subset's own means.
         """
         return PropagatedDesign(
             matrix=self.matrix[np.asarray(rows)],
-            provenance=list(self.provenance),
+            K=self.K,
             selected=None if self.selected is None else list(self.selected),
             centered=self.centered,
             column_means=None if self.column_means is None else self.column_means.copy(),
@@ -96,10 +101,7 @@ class PropagatedDesign:
 
 def build_design(W: RowStochasticOperator, X: np.ndarray, K: int) -> PropagatedDesign:
     """The design ``(X, WX, ..., W^K X)``, uncentered and unselected."""
-    M = propagate(W, X, K)
-    d = M.shape[1] // (K + 1)
-    provenance = [(k, j) for k in range(K + 1) for j in range(d)]
-    return PropagatedDesign(matrix=M, provenance=provenance)
+    return PropagatedDesign(matrix=propagate(W, X, K), K=K)
 
 
 def center(design: PropagatedDesign) -> PropagatedDesign:
@@ -233,12 +235,10 @@ def fit_inputs(design: PropagatedDesign, family: str, centered: bool) -> tuple[n
     if design.centered != centered:
         need = "a centered" if centered else "the uncentered"
         raise ValueError(f"{family} fits use {need} design")
-    names = design.column_names()
     return design.selected_matrix(), {
         "selected": list(design.selected),
-        "K": design.k_max,
+        "K": design.K,
         "d": design.d,
-        "column_names": [names[c] for c in design.selected],
         "n": design.n_rows,
     }
 
@@ -264,19 +264,22 @@ def _report_value(mapping: dict, key: str, kind, path, name: str):
 class FitRecord:
     """What every fit carries: the design columns it was fit on.
 
-    ``selected`` indexes the design's columns, ``K`` and ``d`` give the
-    design's layout (column c is covariate ``c % d`` diffused ``c // d``
-    steps; a prediction design is checked against it) and ``column_names``
-    names the selected columns in order.  Each family gives its report
-    block by ``_report_block`` and reads it by ``_from_report_block``.
+    ``selected`` indexes the design's columns, and ``K`` and ``d`` give the
+    design's layout: column c is covariate ``c % d`` diffused ``c // d``
+    steps, which names the selected columns and against which a prediction
+    design is checked.  Each family gives its report block by
+    ``_report_block`` and reads it by ``_from_report_block``.
     """
 
     family: ClassVar[str]  # the report's family name and the key of its block
     selected: list[int]
     K: int
     d: int
-    column_names: list[str]
     n: int
+
+    @property
+    def column_names(self) -> list[str]:
+        return column_names(self.selected, self.d)
 
     @property
     def provenance(self) -> list[tuple[int, int]]:
@@ -308,7 +311,8 @@ class FitRecord:
         order tests need it.  ``report`` must match the fit schema, with ``report[cls.family]``
         a dict and no number past the finite floats.  A value the schema admits and the fit
         cannot use raises ``ValueError`` naming ``path``: an integer that is no Python int, an
-        array of the wrong size, or a selected column outside the design."""
+        array of the wrong size, a selected column outside the design, or a coefficient whose
+        ``name``, ``order`` or ``covariate`` is not its column's."""
         K, d, n = (_report_value(report, key, int, path, key) for key in ("K", "d", "n"))
         selected, coefficients = report["selected_columns"], report["coefficients"]
         if not all(type(c) is int and c < (K + 1) * d for c in selected):
@@ -321,12 +325,16 @@ class FitRecord:
         def get(key: str, kind=None):
             return _report_value(report[cls.family], key, kind, path, f"{cls.family}.{key}")
 
-        return cls(selected=selected, K=K, d=d, column_names=[c["name"] for c in coefficients], n=n,
-                   **cls._from_report_block(get, estimates, std_errors))
+        fit = cls(selected=selected, K=K, d=d, n=n, **cls._from_report_block(get, estimates, std_errors))
+        for i, (label, want) in enumerate(zip(coefficients, fit._coefficients(estimates, std_errors))):
+            for key in ("name", "order", "covariate"):
+                if label[key] != want[key]:
+                    raise ValueError(f"{path}: not a fit report (bad 'coefficients[{i}].{key}')")
+        return fit
 
     def gather(self, design_new: PropagatedDesign) -> np.ndarray:
         """The fit's selected columns of a raw design with the fit's layout."""
-        if (design_new.k_max, design_new.d) != (self.K, self.d):
+        if (design_new.K, design_new.d) != (self.K, self.d):
             raise ValueError("provenance mismatch between fit and new design")
         if design_new.centered:
             raise ValueError("predictions use the raw (uncentered) design")
@@ -336,7 +344,7 @@ class FitRecord:
 def forward_select(design: PropagatedDesign, tol: float = DEFAULT_SELECT_TOL) -> PropagatedDesign:
     """Greedy screening of linearly independent columns.
 
-    Columns are scanned in provenance order (ascending propagation order,
+    Columns are scanned in layout order (ascending propagation order,
     covariates within) by :func:`independent_columns`, so lower orders win
     ties.  A non-finite value anywhere in the design is an input error.
     """
@@ -354,7 +362,7 @@ def read_covariates(path, allow_empty: bool = False) -> np.ndarray:
 
 
 def write_design_csv(path, design: PropagatedDesign) -> None:
-    """Diagnostic export of all columns under their provenance names."""
+    """Diagnostic export of all columns under their names."""
     M = design.matrix
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

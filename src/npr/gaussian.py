@@ -194,7 +194,7 @@ def fit_ols(design: PropagatedDesign, y: np.ndarray) -> GaussianFit:
 def predict(fit: GaussianFit, design_new: PropagatedDesign) -> np.ndarray:
     """Mean response for new rows under the fitted model.
 
-    ``design_new`` must be built with the same provenance layout (same d
+    ``design_new`` must be built with the same layout (same d
     and K) and is used raw; the fit's stored centering constants are
     applied here.
     """
@@ -231,12 +231,6 @@ def t_statistics(fit: GaussianFit) -> list[dict]:
     return out
 
 
-def _order_bound(fit: GaussianFit, design: PropagatedDesign | None) -> int:
-    if design is not None:
-        return design.k_max
-    return fit.K
-
-
 @one_thread
 def wald_statistic(fit: GaussianFit, design: PropagatedDesign | None, j: int) -> dict:
     """Wald quadratic form for the hypothesis that all selected
@@ -250,7 +244,7 @@ def wald_statistic(fit: GaussianFit, design: PropagatedDesign | None, j: int) ->
     is used only to bound j by the design's maximum order.  A fit with zero
     residual variance has no Wald statistic and raises ``ModelError``.
     """
-    bound = _order_bound(fit, design)
+    bound = (fit if design is None else design).K
     if j < 0 or j > bound:
         raise ValueError(f"order j={j} outside [0, {bound}]")
     orders = fit.selected_orders()
@@ -342,7 +336,7 @@ def order_test(
     """
     if not 0 < xi < 1:
         raise ValueError("xi must lie in (0, 1)")
-    bound = _order_bound(fit, design)
+    bound = (fit if design is None else design).K
     if k_max < 0 or k_max > bound:
         raise ValueError(f"k_max={k_max} outside [0, {bound}]")
     records = []

@@ -367,13 +367,13 @@ def _run_replicate(task):
 
 def _replicates(replicate, cfg: ScenarioConfig, *args) -> list[dict]:
     """``replicate(cfg, *args, seed)`` for each of the ``cfg.reps`` children
-    of the master seed, in seed order, serially or on the ``NPR_THREADS``
-    pool.  ``replicate`` is a module-level function, so a task pickles."""
+    of the master seed, in seed order, serially or on ``min(NPR_THREADS, reps)``
+    workers.  ``replicate`` is a module-level function, so a task pickles."""
     tasks = [(replicate, cfg, *args, seed) for seed in np.random.SeedSequence(cfg.seed).spawn(cfg.reps)]
-    threads = _worker_count()
-    if threads > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(_run_replicate, tasks, chunksize=max(1, len(tasks) // (4 * threads))))
+    workers = min(_worker_count(), len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
+            return list(ex.map(_run_replicate, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
     return [_run_replicate(task) for task in tasks]
 
 

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -50,7 +51,7 @@ def gaussian_block(**changes):
 
 def read_positions(fit) -> list[tuple]:
     """Every (container, key) of a fit report whose value test or predict reads."""
-    unread = {"schema_version", "t_statistics", "gram_condition_number", "order", "covariate"}
+    unread = {"schema_version", "t_statistics", "gram_condition_number"}
     positions = []
 
     def walk(node):
@@ -640,6 +641,28 @@ class TestPredictCommand:
         assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'x.csv'}: a prediction is not finite")
         assert not out.exists()
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_inputs_read_from_pipes_give_the_same_bytes(self, tmp_path):
+        # predict writes no manifest, so it reads each input once, and a pipe serves as well as a file
+        fifos = {name: tmp_path / f"{name}.fifo" for name in ("edges.csv", "covariates.csv")}
+
+        def feed(fifo, data):
+            with open(fifo, "wb") as fh:
+                fh.write(data)
+
+        writers = []
+        for name, fifo in fifos.items():
+            os.mkfifo(fifo)
+            writers.append(threading.Thread(target=feed, args=(fifo, (TOY / name).read_bytes()), daemon=True))
+            writers[-1].start()
+        piped, plain = tmp_path / "piped.csv", tmp_path / "plain.csv"
+        assert run(*toy_argv("predict", fifos), "--out", str(piped)) == 0
+        for writer in writers:
+            writer.join(timeout=10)
+            assert not writer.is_alive()
+        assert run(*toy_argv("predict", {}), "--out", str(plain)) == 0
+        assert piped.read_bytes() == plain.read_bytes()
+
 
 class TestSimulateCommands:
     def test_simulate_deterministic_and_valid(self, tmp_path):
@@ -725,6 +748,38 @@ class TestSimulateCommands:
         assert f"NPR_THREADS must be an integer >= 1, got {threads!r}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("threads, reps, workers", [("8", 2, 2), ("2", 3, 2)])
+    def test_the_pool_starts_at_most_one_worker_per_replicate(self, tmp_path, monkeypatch, threads, reps, workers):
+        # the pool forks all its workers at once, so it gets no more than there are replicates;
+        # a stand-in pool records its size and runs the replicates in this process
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        argv = ["simulate", "--case", "1", "--setting", "1", "--n", "50", "--reps", str(reps), "--seed", "1"]
+        serial, pooled = tmp_path / "serial.json", tmp_path / "pooled.json"
+        assert run(*argv, "--out", str(serial), "--csv", str(tmp_path / "serial.csv")) == 0
+        monkeypatch.setattr(npr.sim, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setenv("NPR_THREADS", threads)
+        assert run(*argv, "--out", str(pooled), "--csv", str(tmp_path / "pooled.csv")) == 0
+        assert sizes == [workers]
+        reports = [json.loads(path.read_text()) for path in (serial, pooled)]
+        for report in reports:
+            del report["manifest"]  # it names the two output paths
+        assert reports[1] == reports[0]
+        assert (tmp_path / "pooled.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+
     def test_an_exact_fit_in_a_replicate_exits_1(self, tmp_path, capsys):
         # ten rows: the replicate's design fits its response exactly
         out = tmp_path / "t.json"
@@ -781,11 +836,16 @@ class TestMain:
             (golden_fit(coefficients=[{**golden_fit()["coefficients"][0], "estimate": 10 ** 400},
                                       *golden_fit()["coefficients"][1:]]),
              " (bad 'coefficients[0].estimate')"),
+            # a coefficient's name, order and covariate follow from its selected column and d
+            *((golden_fit(coefficients=[{**golden_fit()["coefficients"][0], key: value},
+                                        *golden_fit()["coefficients"][1:]]),
+               f" (bad 'coefficients[0].{key}')") for key, value in [("name", "k2_x2"), ("order", 2), ("covariate", 1)]),
         ],
         ids=["list", "string", "no family", "no family block", "unknown family", "family of a list type",
              "selected column out of range", "selected column past the design", "one coefficient removed",
              "null column means", "short column means", "gram a string", "gram missing a row",
-             "gram inverse rows too short", "estimate past the floats"],
+             "gram inverse rows too short", "estimate past the floats", "another column's name",
+             "another column's order", "another column's covariate"],
     )
     def test_fit_file_of_the_wrong_shape_exits_2(self, tmp_path, capsys, command, payload, reason):
         fit = tmp_path / "fit.json"
@@ -1305,6 +1365,46 @@ class TestEvalAuc:
             "--response", str(TOY / "response.csv"),
             "--splits", "3", "--seed", "1", "--out", str(tmp_path / "a.json"),
         ) == 2
+
+
+class TestInvariance:
+    """A fit does not depend on the order of the edge file's rows, nor on the
+    order of the covariate columns beyond their names."""
+
+    TOL = 1e-8  # the fits' --tol
+
+    def fit(self, tmp_path, family: str, replaced: dict) -> dict:
+        out = tmp_path / "fit.json"
+        assert run(*toy_argv(family, replaced), "--tol", str(self.TOL), "--out", str(out)) == 0
+        report = json.loads(out.read_text())
+        del report["manifest"]
+        return report
+
+    @pytest.mark.parametrize("family", ["gaussian", "logistic", "cox"])
+    def test_shuffled_edge_rows_give_the_same_report(self, tmp_path, family):
+        header, *rows = (TOY / "edges.csv").read_text().splitlines()
+        shuffled = tmp_path / "edges.csv"
+        shuffled.write_text("\n".join([header, *np.random.default_rng(7).permutation(rows)]) + "\n")
+        assert json.dumps(self.fit(tmp_path, family, {"edges.csv": shuffled})) == json.dumps(
+            self.fit(tmp_path, family, {}))
+
+    @pytest.mark.parametrize("family", ["gaussian", "logistic", "cox"])
+    def test_swapped_covariates_give_the_same_estimates_under_swapped_names(self, tmp_path, family):
+        swapped = tmp_path / "covariates.csv"
+        header, *rows = (TOY / "covariates.csv").read_text().splitlines()
+        swapped.write_text("\n".join([header, *(",".join(row.split(",")[::-1]) for row in rows)]) + "\n")
+        base = {c["name"]: c["estimate"] for c in self.fit(tmp_path, family, {})["coefficients"]}
+        rename = str.maketrans({"1": "2", "2": "1"})
+        got = {c["name"][:-1] + c["name"][-1].translate(rename): c["estimate"]
+               for c in self.fit(tmp_path, family, {"covariates.csv": swapped})["coefficients"]}
+        assert len(base) == 6 and got.keys() == base.keys()
+        names = sorted(base)
+        if family == "gaussian":  # QR of the same columns in another order
+            np.testing.assert_allclose([got[k] for k in names], [base[k] for k in names], rtol=1e-12, atol=0)
+        else:
+            # Newton stops once its step's max-norm falls below --tol, so each
+            # fit lies within about one step, TOL, of the optimum
+            np.testing.assert_allclose([got[k] for k in names], [base[k] for k in names], rtol=0, atol=2 * self.TOL)
 
 
 class TestManifest:

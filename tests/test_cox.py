@@ -280,7 +280,7 @@ class TestFitCox:
         fit_base = fit_cox(plain_selected(X), surv)
         padded = np.column_stack([X, np.zeros(70)])
         design = forward_select(
-            PropagatedDesign(matrix=padded, provenance=[(0, 0), (0, 1), (0, 2)])
+            PropagatedDesign(matrix=padded, K=0)
         )
         fit_pad = fit_cox(design, surv)
         assert design.selected == [0, 1]

@@ -39,7 +39,7 @@ class TestBuildDesign:
         W, X = random_setup(rng)
         design = build_design(W, X, 0)
         assert np.array_equal(design.full_matrix(), X)
-        assert design.provenance == [(0, j) for j in range(3)]
+        assert (design.K, design.d) == (0, 3)
 
     def test_column_count_d10_k8(self):
         rng = np.random.default_rng(1)
@@ -66,15 +66,21 @@ class TestBuildDesign:
         design = build_design(W, X, 1)
         assert design.column_names() == ["k0_x1", "k0_x2", "k1_x1", "k1_x2"]
 
+    @pytest.mark.parametrize("K, width", [(-1, 2), (1, 3), (2, 4)])
+    def test_a_k_the_width_cannot_hold_is_refused(self, K, width):
+        # the layout is the matrix's width and K: K+1 blocks of d columns
+        with pytest.raises(ValueError, match=f"K={K} is no layout of a design of {width} columns"):
+            PropagatedDesign(matrix=np.zeros((3, width)), K=K)
+
 
 class TestCenter:
     def test_constant_column_becomes_zero(self):
-        design = PropagatedDesign(matrix=np.ones((4, 1)), provenance=[(0, 0)])
+        design = PropagatedDesign(matrix=np.ones((4, 1)), K=0)
         centered = center(design)
         assert np.allclose(centered.full_matrix(), 0.0)
 
     def test_simple_column(self):
-        design = PropagatedDesign(matrix=np.array([[1.0], [2.0], [3.0]]), provenance=[(0, 0)])
+        design = PropagatedDesign(matrix=np.array([[1.0], [2.0], [3.0]]), K=0)
         assert np.allclose(center(design).full_matrix().ravel(), [-1, 0, 1])
 
     def test_idempotent(self):
@@ -95,9 +101,7 @@ class TestForwardSelect:
     def test_duplicate_column_rejected(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((20, 1))
-        design = PropagatedDesign(
-            matrix=np.hstack([x, x]), provenance=[(0, 0), (0, 1)]
-        )
+        design = PropagatedDesign(matrix=np.hstack([x, x]), K=0)
         assert forward_select(design).selected == [0]
 
     def test_two_cycle_square_duplicates_block_zero(self):
@@ -108,7 +112,7 @@ class TestForwardSelect:
         design = build_design(W, X, 2)
         selected = forward_select(design).selected
         assert selected == [0, 1, 2, 3][: len(selected)]
-        assert all(design.provenance[c][0] < 2 for c in selected)
+        assert all(c // design.d < 2 for c in selected)
 
     def test_full_rank_design_keeps_everything(self):
         rng = np.random.default_rng(6)
@@ -131,7 +135,7 @@ class TestForwardSelect:
         assert d1.selected == d2.selected
 
     def test_degenerate_design_raises(self):
-        design = PropagatedDesign(matrix=np.zeros((5, 2)), provenance=[(0, 0), (0, 1)])
+        design = PropagatedDesign(matrix=np.zeros((5, 2)), K=0)
         with pytest.raises(DegenerateDesignError, match="degenerate"):
             forward_select(design)
 
@@ -139,7 +143,7 @@ class TestForwardSelect:
         # column 1 duplicates column 0; column 2 keeps 0.6 of its norm after
         # projection onto column 0, so it is independent and must be kept
         M = np.array([[1.0, 1, 1], [-2, -2, 2], [2, 2, -2], [-1, -1, 1]])
-        design = PropagatedDesign(matrix=M, provenance=[(0, 0), (0, 1), (0, 2)])
+        design = PropagatedDesign(matrix=M, K=0)
         assert forward_select(design).selected == [0, 2]
         assert independent_columns(M, tol=1e-8) == [0, 2]
         # the unpivoted Householder rule |R_jj| > tol * ||M_j|| drops it,
@@ -150,7 +154,7 @@ class TestForwardSelect:
 
     def test_non_finite_column_rejected_by_name(self):
         X = np.array([[1.0, 2.0], [np.inf, 0.5], [3.0, 1.0]])
-        design = PropagatedDesign(matrix=X, provenance=[(0, 0), (0, 1)])
+        design = PropagatedDesign(matrix=X, K=0)
         with pytest.raises(ValueError, match="k0_x1"):
             forward_select(design)
 
@@ -164,7 +168,7 @@ class TestForwardSelect:
         for j, name in enumerate(clean.column_names()):
             M = clean.matrix.copy()
             M[int(rng.integers(M.shape[0])), j] = bad
-            design = PropagatedDesign(matrix=M, provenance=clean.provenance)
+            design = PropagatedDesign(matrix=M, K=clean.K)
             with pytest.raises(ValueError, match=f"design column {name} has a non-finite value"):
                 forward_select(design)
 
@@ -192,7 +196,7 @@ class TestForwardSelect:
         M = design.matrix.copy()
         M[4, 0] = 1e155
         assert not _gram_certifies(M, DEFAULT_SELECT_TOL)
-        selected = forward_select(PropagatedDesign(matrix=M, provenance=design.provenance)).selected
+        selected = forward_select(PropagatedDesign(matrix=M, K=design.K)).selected
         assert selected == forward_select(design).selected == list(range(M.shape[1]))
 
     def test_selected_submatrix_nonsingular_vs_svd_oracle(self):

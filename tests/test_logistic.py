@@ -247,7 +247,7 @@ class TestPredictProba:
             pytest.skip("degenerate draw")
         fit = fit_logistic(design, y)
         assert fit.theta_hat[1] > 0
-        bumped = PropagatedDesign(matrix=X + 1.0, provenance=[(0, 0)], selected=[0])
+        bumped = PropagatedDesign(matrix=X + 1.0, K=0, selected=[0])
         assert np.all(predict_proba(fit, bumped) > predict_proba(fit, design))
 
     def test_round_trip_training_probabilities(self):

@@ -75,5 +75,5 @@ def test_centering_and_selection_invariants(n, d, seed):
         sub = selected.selected_matrix()
         # admitted columns are linearly independent
         assert np.linalg.matrix_rank(sub, tol=1e-10) == sub.shape[1]
-        # provenance covers each admitted column exactly once, in scan order
+        # selection admits each column at most once, in scan order
         assert selected.selected == sorted(set(selected.selected))
