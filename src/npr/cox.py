@@ -12,7 +12,9 @@ row).  The partial likelihood depends on the times only through their ranks.
 Memory layout decides the last bits of a BLAS product, so each product
 keeps one layout.  The engine holds one sorted, C-ordered copy of the
 selected columns, for ``X @ beta``, the event-row sums and the information
-product ``(X * w c)' X``.  One C-ordered n-by-d workspace per fit holds
+product ``(X * w c)' X``.  It is gathered from the design's matrix in one
+step, sorted rows and selected columns together, so a fit holds no other
+copy of its columns.  One C-ordered n-by-d workspace per fit holds
 ``w X`` and its running sums down each column, then ``X * w c``, whose
 first rows then hold ``u * d``; that product needs its own buffer, since
 on the buffer of ``u`` itself numpy computes ``(u d)' u`` with a
@@ -24,6 +26,7 @@ costs more than the sums save, and holding it costs an n-by-d array.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,12 +89,15 @@ class CoxFit(NewtonFit):
 
 
 class _RiskSetEngine:
-    """Precomputed ordering and tie groups for fast Breslow evaluation."""
+    """Precomputed ordering and tie groups for fast Breslow evaluation on
+    the columns ``columns`` of the matrix ``M``."""
 
-    def __init__(self, X: np.ndarray, time: np.ndarray, event: np.ndarray):
-        # descending time so the risk set of each event time is a prefix
+    def __init__(self, M: np.ndarray, columns: Sequence[int], time: np.ndarray, event: np.ndarray):
+        # descending time so the risk set of each event time is a prefix;
+        # the sorted, C-ordered copy of the columns is gathered from M in
+        # one step, so no unsorted copy is ever held beside it
         order = np.argsort(-time, kind="stable")
-        self.X = X[order]
+        self.X = M[np.ix_(order, columns)]
         self.event = event[order].astype(bool)
         t_sorted = time[order]
         # group boundaries for tied times: starts[g]..ends[g]-1 share a time
@@ -108,10 +114,9 @@ class _RiskSetEngine:
         self.event_groups = np.flatnonzero(self.d_group > 0)
         with np.errstate(over="ignore"):  # an overflow fails the Newton loop's finiteness check
             self.event_x_sum = self.X[self.event].sum(axis=0)
-        self.n = X.shape[0]
-        self.p = X.shape[1]
-        # the n-by-p workspace of every evaluation; pages are touched on
-        # the first write, after fit_cox has dropped its unsorted copy
+        self.n, self.p = self.X.shape
+        # the n-by-p workspace of every evaluation; its pages are touched
+        # on the first write, by the first evaluation
         self.work = np.empty(self.n * self.p)
 
     def group_sums(self, a: np.ndarray) -> np.ndarray:
@@ -185,13 +190,12 @@ def fit_cox(
     (any multiplicative constant is absorbed by the baseline hazard).
     Convergence and step-halving behave exactly as in the logistic fitter.
     """
-    X, columns = fit_inputs(design, "cox", centered=False)
+    columns = fit_inputs(design, "cox", centered=False)
     if surv.n != design.n_rows:
         raise InputValueError(f"survival data has {surv.n} rows, design has {design.n_rows}",
                               "time", "event", "covariates")
 
-    engine = _RiskSetEngine(X, surv.time, surv.event)
-    del X  # the engine holds its own sorted copy
+    engine = _RiskSetEngine(design.matrix, design.selected, surv.time, surv.event)
 
     result = newton_maximize(
         engine.loglik_score_info,

@@ -223,19 +223,21 @@ def _mgs_columns(M: np.ndarray, tol: float, names: list[str] | None = None) -> l
     return kept
 
 
-def fit_inputs(design: PropagatedDesign, family: str, centered: bool) -> tuple[np.ndarray, dict]:
-    """The selected columns a family fits, and the :class:`FitRecord` fields
-    that describe them.
+def fit_inputs(design: PropagatedDesign, family: str, centered: bool) -> dict:
+    """The :class:`FitRecord` fields that describe the columns a family fits.
 
     The design must be forward-selected and centered exactly when the
     family needs it (the gaussian family does; logistic and cox do not).
+    No columns are copied here: each family makes the one copy its
+    products read, in the layout whose bits it keeps, straight from
+    ``design.matrix``.
     """
     if design.selected is None:
         raise ValueError("design must be forward-selected before fitting")
     if design.centered != centered:
         need = "a centered" if centered else "the uncentered"
         raise ValueError(f"{family} fits use {need} design")
-    return design.selected_matrix(), {
+    return {
         "selected": list(design.selected),
         "K": design.K,
         "d": design.d,

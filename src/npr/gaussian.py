@@ -117,7 +117,8 @@ def fit_ols(design: PropagatedDesign, y: np.ndarray) -> GaussianFit:
     no-op for pre-centered input), and the centering constants are kept on
     the fit so new rows can be predicted consistently.
     """
-    X, columns = fit_inputs(design, "gaussian", centered=True)
+    columns = fit_inputs(design, "gaussian", centered=True)
+    X = design.selected_matrix()
     n, p = X.shape
     y = np.asarray(y, dtype=np.float64).ravel()
     if y.shape[0] != n:

@@ -56,6 +56,16 @@ def check_binary(y: np.ndarray) -> None:
         raise InputValueError("logistic responses must be 0/1", "response")
 
 
+def _intercept_columns(design: PropagatedDesign) -> np.ndarray:
+    """An all-ones column, then the design's selected columns, in one
+    F-ordered copy: the layout whose bits the fit keeps (a C-ordered copy
+    changes theta_hat and the information)."""
+    X = np.empty((design.n_rows, len(design.selected) + 1), order="F")
+    X[:, 0] = 1.0
+    X[:, 1:] = design.matrix[:, design.selected]
+    return X
+
+
 def fit_logistic(
     design: PropagatedDesign,
     y: np.ndarray,
@@ -76,13 +86,13 @@ def fit_logistic(
     """
     from scipy.special import expit  # imported here, not at start-up: the studies never need it
 
-    X, columns = fit_inputs(design, "logistic", centered=False)
+    columns = fit_inputs(design, "logistic", centered=False)
     y = np.asarray(y, dtype=np.float64).ravel()
     if y.shape[0] != design.n_rows:
         raise InputValueError(f"response has {y.shape[0]} rows, design has {design.n_rows}", "response", "covariates")
     check_binary(y)
 
-    X = np.column_stack([np.ones(design.n_rows), X])
+    X = _intercept_columns(design)
 
     def objective(theta):
         eta = X @ theta

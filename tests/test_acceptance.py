@@ -276,7 +276,7 @@ def test_criterion_09_glm_derivative_and_monotonicity_checks():
                 t = np.ceil(t * 4) / 4
             e = (rng.random(n) < 0.7).astype(int)
             e[int(rng.integers(n))] = 1
-            engine = _RiskSetEngine(X, t, e)
+            engine = _RiskSetEngine(X, range(2), t, e)
             beta = rng.normal(0, 0.3, 2)
             _, score, hess = engine.loglik_score_info(beta)
             check_derivs(lambda b: engine.loglik(b), score, hess, beta, 2)
@@ -311,7 +311,7 @@ def test_criterion_10_cox_engine_oracle_and_rank_invariance():
                 e = (rng.random(n) < 0.7).astype(int)
                 e[0] = 1
                 beta = rng.normal(0, 0.4, 3)
-                engine = _RiskSetEngine(X, t, e)
+                engine = _RiskSetEngine(X, range(3), t, e)
                 ll, score, info = engine.loglik_score_info(beta)
                 ll_ref, score_ref, info_ref = naive_breslow(beta, X, t, e)
                 assert abs(ll - ll_ref) < 1e-10 * max(1.0, abs(ll_ref))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -101,7 +103,7 @@ class TestPartialLikelihood:
     def test_value_at_zero_is_log_risk_set_sizes(self):
         rng = np.random.default_rng(0)
         X, surv = survival_instance(rng)
-        engine = _RiskSetEngine(X, surv.time, surv.event)
+        engine = _RiskSetEngine(X, range(2), surv.time, surv.event)
         expected = -sum(
             np.log((surv.time >= surv.time[i]).sum())
             for i in range(surv.n)
@@ -116,7 +118,7 @@ class TestPartialLikelihood:
             n = int(rng.integers(20, 200))
             X, surv = survival_instance(rng, n=n, ties=ties)
             beta = rng.normal(0, 0.4, 2)
-            engine = _RiskSetEngine(X, surv.time, surv.event)
+            engine = _RiskSetEngine(X, range(2), surv.time, surv.event)
             ll, score, info = engine.loglik_score_info(beta)
             ll_ref, score_ref, info_ref = naive_breslow(beta, X, surv.time, surv.event)
             assert abs(ll - ll_ref) < 1e-10 * max(1.0, abs(ll_ref))
@@ -129,7 +131,7 @@ class TestPartialLikelihood:
         rng = np.random.default_rng(2)
         for _ in range(6):
             X, surv = survival_instance(rng, n=35, ties=ties)
-            engine = _RiskSetEngine(X, surv.time, surv.event)
+            engine = _RiskSetEngine(X, range(2), surv.time, surv.event)
             beta = rng.normal(0, 0.3, 2)
             _, score, info = engine.loglik_score_info(beta)
             hg, hh = 1e-5, 1e-4
@@ -171,7 +173,7 @@ class TestGroupSums:
         n = sum(sizes)
         # times descend, so the tie groups appear in the sorted order given
         time = np.repeat(np.arange(len(sizes), 0, -1, dtype=float), sizes)
-        engine = _RiskSetEngine(np.zeros((n, 1)), time, np.ones(n, dtype=int))
+        engine = _RiskSetEngine(np.zeros((n, 1)), range(1), time, np.ones(n, dtype=int))
         assert np.array_equal(np.diff(np.append(engine.starts, n)), sizes)
         for shape in [(n,), (n, 5)]:
             a = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, size=shape)
@@ -184,7 +186,8 @@ class TestBitwiseReference:
 
     @staticmethod
     def instance(rng, n, p, kind):
-        # F-ordered, as fit_inputs gathers the selected columns
+        # F-ordered: the engine's sorted copy must come out C-ordered
+        # whatever the layout of the matrix it is gathered from
         X = np.asfortranarray(rng.standard_normal((n, p)) * rng.uniform(0.1, 3.0, p))
         time = rng.exponential(1.0, n)
         event = (rng.random(n) < 0.6).astype(int)
@@ -203,7 +206,7 @@ class TestBitwiseReference:
     def test_evaluations_equal_the_reference(self, n, p, kind):
         rng = np.random.default_rng([n, p, len(kind)])
         X, time, event = self.instance(rng, n, p, kind)
-        engine = _RiskSetEngine(X, time, event)
+        engine = _RiskSetEngine(X, range(p), time, event)
         for beta in (np.zeros(p), rng.normal(0.0, 0.5 / np.sqrt(p), p), rng.normal(0.0, 2.0 / np.sqrt(p), p)):
             ll, score, info, ll_only = reference_breslow(beta, X, time, event)
             got = engine.loglik_score_info(beta)
@@ -211,22 +214,45 @@ class TestBitwiseReference:
             assert np.array_equal(got[1], score) and np.array_equal(got[2], info)
             assert engine.loglik(beta) == ll_only
 
-    @pytest.mark.parametrize("ties", [False, True])
-    def test_fit_equals_the_reference_newton_fit(self, ties):
-        # a glm-refit shaped design: d = 10, K = 8, 90 columns kept
+    @staticmethod
+    def refit_instance(duplicate, ties):
+        # a glm-refit shaped design: d = 10, K = 8, 90 columns, all kept,
+        # or all but the 9 orders of covariate 4, a copy of covariate 2
         rng = np.random.default_rng(21)
         n = 4000
-        design = forward_select(
-            build_design(row_normalize(gen_erdos_renyi(n, rng)), rng.standard_normal((n, 10)), 8)
-        )
+        X = rng.standard_normal((n, 10))
+        if duplicate:
+            X[:, 3] = X[:, 1]
+        design = forward_select(build_design(row_normalize(gen_erdos_renyi(n, rng)), X, 8))
+        skipped = list(range(3, 90, 10)) if duplicate else []
+        assert design.selected == [c for c in range(90) if c not in skipped]
         truth = np.zeros(len(design.selected))
         truth[:20] = rng.normal(0.0, 0.3, 20)
         surv = simulate_cox_data(design, truth, baseline_rate=0.5, censor_rate=0.3, seed=rng)
         if ties:
             surv = SurvivalData(time=np.ceil(surv.time * 20) / 20, event=surv.event)
+            assert np.unique(surv.time).size < n
+        return design, surv
+
+    @pytest.mark.parametrize("duplicate", [False, True])
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_engine_copy_is_sorted_c_ordered_and_its_own(self, duplicate, ties):
+        design, surv = self.refit_instance(duplicate, ties)
+        engine = _RiskSetEngine(design.matrix, design.selected, surv.time, surv.event)
+        order = np.argsort(-surv.time, kind="stable")
+        assert engine.X.flags.c_contiguous
+        assert not np.shares_memory(engine.X, design.matrix)
+        assert np.array_equal(engine.X, design.matrix[order][:, design.selected])
+
+    @pytest.mark.parametrize("duplicate", [False, True])
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_fit_equals_the_reference_newton_fit(self, duplicate, ties):
+        design, surv = self.refit_instance(duplicate, ties)
         fit = fit_cox(design, surv)
 
-        X = design.selected_matrix()
+        # the F-ordered gather of the selected columns, which the reference
+        # sorts into a C-ordered copy, as the engine once did
+        X = design.matrix[:, design.selected]
         result = newton_maximize(
             lambda b: reference_breslow(b, X, surv.time, surv.event)[:3],
             np.zeros(X.shape[1]),
@@ -235,7 +261,7 @@ class TestBitwiseReference:
             loglik=lambda b: reference_breslow(b, X, surv.time, surv.event)[3],
         )
         beta, ll, newton = newton_fields(result, surv.n)
-        assert len(design.selected) == 90 and fit.converged
+        assert fit.converged
         assert np.array_equal(fit.lambda_hat, beta) and fit.partial_loglik == ll
         for name, value in newton.items():
             assert np.array_equal(getattr(fit, name), value), name
@@ -250,7 +276,7 @@ class TestFitCox:
         design = plain_selected(X)
         fit = fit_cox(design, surv)
 
-        engine = _RiskSetEngine(X, surv.time, surv.event)
+        engine = _RiskSetEngine(X, range(1), surv.time, surv.event)
         lo, hi = -10.0, 10.0
         phi = (np.sqrt(5.0) - 1) / 2
         for _ in range(200):
@@ -293,9 +319,28 @@ class TestFitCox:
         fit = fit_cox(design, surv)
         trace = np.asarray(fit.loglik_trace)
         assert np.all(np.diff(trace) >= -1e-10)
-        engine = _RiskSetEngine(X, surv.time, surv.event)
+        engine = _RiskSetEngine(X, range(2), surv.time, surv.event)
         _, score, _ = engine.loglik_score_info(fit.lambda_hat)
         assert np.abs(score).max() < 1e-8 * surv.n
+
+    def test_holds_the_sorted_copy_the_workspace_and_u(self):
+        # fit_cox's own arrays at its peak, the first evaluation: the sorted
+        # copy and the workspace, n*p*8 bytes each, the risk-set means u,
+        # E*p*8 with E event groups (untied times: one per event), and fewer
+        # than 20 float vectors of n entries; an unsorted copy held beside
+        # the sorted one adds n*p*8, the width of p = 90 such vectors
+        rng = np.random.default_rng(9)
+        n, p = 20000, 90
+        design = PropagatedDesign(matrix=rng.standard_normal((n, p)) * 0.05, K=0, selected=list(range(p)))
+        surv = SurvivalData(time=rng.exponential(1.0, n), event=(rng.random(n) < 0.6).astype(int))
+        assert np.unique(surv.time).size == n
+        tracemalloc.start()
+        try:
+            fit_cox(design, surv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (2 * n + surv.n_events) * p * 8 + 20 * n * 8
 
     def test_requires_uncentered_selected(self):
         rng = np.random.default_rng(6)

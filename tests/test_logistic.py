@@ -9,11 +9,11 @@ from scipy.special import expit
 from scipy.stats import rankdata
 
 import npr
-
+import npr.logistic
 from npr.design import PropagatedDesign, build_design, forward_select
 from npr.exceptions import SeparationError
 from npr.graph import DirectedGraph, gen_erdos_renyi, row_normalize
-from npr.logistic import _average_ranks, auc, fit_logistic, predict_proba
+from npr.logistic import _average_ranks, _intercept_columns, auc, fit_logistic, predict_proba
 
 
 def empty_operator(n):
@@ -226,6 +226,52 @@ class TestFitLogistic:
             truth = np.concatenate([[alpha], lam0, lam1])
             errs.append(np.abs(fit.theta_hat - truth).max())
         assert np.mean(errs) < 0.15
+
+
+class TestInterceptColumns:
+    """The fit reads one F-ordered copy of an all-ones column and the
+    selected columns.  The bits of its products depend on that layout, and
+    the fits were made on ``np.column_stack`` of the F-ordered gather."""
+
+    @staticmethod
+    def instance(duplicate):
+        # d = 10, K = 8: 90 columns, all kept, or all but the 9 orders of
+        # covariate 4, a copy of covariate 2
+        rng = np.random.default_rng(31)
+        n = 4000
+        X = rng.standard_normal((n, 10))
+        if duplicate:
+            X[:, 3] = X[:, 1]
+        design = selected_design(row_normalize(gen_erdos_renyi(n, rng)), X, 8)
+        skipped = list(range(3, 90, 10)) if duplicate else []
+        assert design.selected == [c for c in range(90) if c not in skipped]
+        eta = design.selected_matrix()[:, :20] @ rng.normal(0.0, 0.3, 20)
+        return design, (rng.random(n) < expit(eta)).astype(float)
+
+    @staticmethod
+    def column_stack(design):
+        return np.column_stack([np.ones(design.n_rows), design.matrix[:, design.selected]])
+
+    @pytest.mark.parametrize("duplicate", [False, True])
+    def test_copy_is_fortran_ordered_with_ones_first(self, duplicate):
+        design, _ = self.instance(duplicate)
+        X = _intercept_columns(design)
+        assert X.flags.f_contiguous and not X.flags.c_contiguous
+        assert not np.shares_memory(X, design.matrix)
+        assert np.array_equal(X[:, 0], np.ones(design.n_rows))
+        reference = self.column_stack(design)
+        assert reference.flags.f_contiguous and np.array_equal(X, reference)
+
+    @pytest.mark.parametrize("duplicate", [False, True])
+    def test_fit_equals_the_fit_on_the_column_stack(self, duplicate, monkeypatch):
+        design, y = self.instance(duplicate)
+        fit = fit_logistic(design, y)
+        monkeypatch.setattr(npr.logistic, "_intercept_columns", self.column_stack)
+        reference = fit_logistic(design, y)
+        assert fit.converged
+        for name in ("theta_hat", "information", "std_errors", "loglik_trace", "step_halvings"):
+            assert np.array_equal(getattr(fit, name), getattr(reference, name)), name
+        assert (fit.log_likelihood, fit.iterations) == (reference.log_likelihood, reference.iterations)
 
 
 class TestPredictProba:
