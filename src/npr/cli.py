@@ -222,7 +222,8 @@ def cmd_predict(args) -> None:
     values = np.empty(0)
     if X.shape[0]:  # an empty covariate file has no graph to read
         predictors = {"gaussian": predict_gaussian, "logistic": predict_proba, "cox": predict_relative_risk}
-        values = predictors[fit.family](fit, _load_design(args, X, payload["K"], f"{args.fit}: K"))
+        order = max(fit.selected, default=0) // fit.d  # the fit's K only bounds the orders it reads
+        values = predictors[fit.family](fit, _load_design(args, X, order, f"{args.fit}: highest selected order"))
     # the bytes csv.writer gives: no field here needs quoting
     rows = "".join(f"{i},{v!r}\r\n" for i, v in enumerate(values.tolist()))
     with open(args.out, "w", newline="") as fh:

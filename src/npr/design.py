@@ -268,8 +268,8 @@ class FitRecord:
 
     ``selected`` indexes the design's columns, and ``K`` and ``d`` give the
     design's layout: column c is covariate ``c % d`` diffused ``c // d``
-    steps, which names the selected columns and against which a prediction
-    design is checked.  Each family gives its report block by
+    steps, which names the selected columns; a prediction design needs only
+    ``d`` and those columns.  Each family gives its report block by
     ``_report_block`` and reads it by ``_from_report_block``.
     """
 
@@ -335,8 +335,8 @@ class FitRecord:
         return fit
 
     def gather(self, design_new: PropagatedDesign) -> np.ndarray:
-        """The fit's selected columns of a raw design with the fit's layout."""
-        if (design_new.K, design_new.d) != (self.K, self.d):
+        """The fit's selected columns of a raw design with the fit's ``d`` that holds every one of them."""
+        if design_new.d != self.d or max(self.selected, default=-1) >= design_new.n_columns:
             raise ValueError("provenance mismatch between fit and new design")
         if design_new.centered:
             raise ValueError("predictions use the raw (uncentered) design")

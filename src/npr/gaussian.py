@@ -195,9 +195,8 @@ def fit_ols(design: PropagatedDesign, y: np.ndarray) -> GaussianFit:
 def predict(fit: GaussianFit, design_new: PropagatedDesign) -> np.ndarray:
     """Mean response for new rows under the fitted model.
 
-    ``design_new`` must be built with the same layout (same d
-    and K) and is used raw; the fit's stored centering constants are
-    applied here.
+    ``design_new`` is a raw design that :meth:`FitRecord.gather` accepts;
+    the fit's stored centering constants are applied here.
     """
     M = fit.gather(design_new)  # a fresh copy, safe to center in place
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite prediction is refused

@@ -504,6 +504,21 @@ class TestTestCommand:
         assert run("test", "--fit", str(fit_out), "--kmax", "1", "--out", str(tmp_path / "t.json")) == 2
 
 
+@pytest.fixture
+def built_orders(monkeypatch):
+    """The K of each design that ``npr.cli`` builds, in turn."""
+    from npr.design import build_design
+
+    built = []
+
+    def spy(W, X, K):
+        built.append(K)
+        return build_design(W, X, K)
+
+    monkeypatch.setattr(npr.cli, "build_design", spy)
+    return built
+
+
 class TestPredictCommand:
     def test_round_trip_matches_fitted_values(self, toy_fit, tmp_path):
         out = tmp_path / "pred.csv"
@@ -593,13 +608,48 @@ class TestPredictCommand:
                    "--covariates", str(TOY / "covariates.csv"), "--out", str(out)) == 0
         assert {row["prediction"] for row in csv.DictReader(open(out))} == {"1.0"}
 
+    @pytest.mark.parametrize("golden", GOLDEN_FITS)
     @pytest.mark.parametrize("K", VAST_KS)
-    def test_a_fit_k_whose_design_cannot_be_allocated_exits_2_naming_the_fit(self, tmp_path, capsys, K):
+    def test_a_vast_fit_k_is_a_bound_and_predicts_the_golden_bytes(self, tmp_path, built_orders, golden, K):
+        # predict builds the orders the fit selected, up to 2 here, whatever K the fit names
+        fit, out, want = tmp_path / "fit.json", tmp_path / "p.csv", tmp_path / "want.csv"
+        fit.write_text(json.dumps({**json.loads((TOY / golden).read_text()), "K": K}))
+        assert run(*toy_argv("predict", {"golden_fit.json": TOY / golden}), "--out", str(want)) == 0
+        assert run(*toy_argv("predict", {"golden_fit.json": fit}), "--out", str(out)) == 0
+        assert out.read_bytes() == want.read_bytes()
+        assert built_orders == [2, 2]
+
+    @pytest.mark.parametrize("order", VAST_KS)
+    def test_a_highest_selected_order_that_cannot_be_allocated_exits_2_naming_the_fit(
+            self, tmp_path, capsys, order):
+        # the last selected column, k2_x2, becomes column 2 * order: covariate 1 diffused order steps
+        payload = golden_fit(K=order)
+        payload["selected_columns"][-1] = 2 * order
+        payload["coefficients"][-1].update(name=f"k{order}_x1", order=order, covariate=0)
         fit, out = tmp_path / "fit.json", tmp_path / "p.csv"
-        fit.write_text(json.dumps(golden_fit(K=K)))
+        fit.write_text(json.dumps(payload))
         assert run(*toy_argv("predict", {"golden_fit.json": fit}), "--out", str(out)) == 2
-        assert capsys.readouterr().err == unallocatable(f"{fit}: K", K)
+        assert capsys.readouterr().err == unallocatable(f"{fit}: highest selected order", order)
         assert not out.exists()
+
+    @pytest.mark.parametrize("golden", GOLDEN_FITS)
+    def test_a_fit_of_no_columns_predicts_at_a_zero_linear_predictor_from_an_order_0_design(
+            self, tmp_path, built_orders, golden):
+        from scipy.special import expit
+
+        payload = json.loads((TOY / golden).read_text())
+        payload.update(selected_columns=[], coefficients=[])
+        if payload["family"] == "gaussian":  # y_mean plus a product over no columns
+            payload["gaussian"].update(gram=[], gram_inverse=[], column_means=[])
+            value = payload["gaussian"]["y_mean"]
+        else:  # expit of the intercept alone; exp of 0
+            value = expit(payload["logistic"]["intercept"]) if payload["family"] == "logistic" else 1.0
+        fit, out, want = tmp_path / "fit.json", tmp_path / "p.csv", tmp_path / "want.csv"
+        fit.write_text(json.dumps(payload))
+        assert run(*toy_argv("predict", {"golden_fit.json": fit}), "--out", str(out)) == 0
+        write_rows(want, ["node", "prediction"], [[i, repr(float(value))] for i in range(24)])
+        assert out.read_bytes() == want.read_bytes()
+        assert built_orders == [0]
 
     def test_cox_relative_risk_output(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -1368,8 +1418,9 @@ class TestEvalAuc:
 
 
 class TestInvariance:
-    """A fit does not depend on the order of the edge file's rows, nor on the
-    order of the covariate columns beyond their names."""
+    """A fit does not depend on the order of the edge file's rows, on the
+    order of the covariate columns beyond their names, nor on the nodes'
+    labels."""
 
     TOL = 1e-8  # the fits' --tol
 
@@ -1379,6 +1430,13 @@ class TestInvariance:
         report = json.loads(out.read_text())
         del report["manifest"]
         return report
+
+    def fit_and_predict(self, tmp_path, family: str, replaced: dict) -> tuple[dict, np.ndarray]:
+        """The fit's report, as by :meth:`fit`, and what ``predict`` gives with it on the same inputs."""
+        report, out = self.fit(tmp_path, family, replaced), tmp_path / "p.csv"
+        argv = toy_argv("predict", {**replaced, "golden_fit.json": tmp_path / "fit.json"})
+        assert run(*argv, "--out", str(out)) == 0
+        return report, np.array([float(row["prediction"]) for row in csv.DictReader(open(out))])
 
     @pytest.mark.parametrize("family", ["gaussian", "logistic", "cox"])
     def test_shuffled_edge_rows_give_the_same_report(self, tmp_path, family):
@@ -1405,6 +1463,51 @@ class TestInvariance:
             # Newton stops once its step's max-norm falls below --tol, so each
             # fit lies within about one step, TOL, of the optimum
             np.testing.assert_allclose([got[k] for k in names], [base[k] for k in names], rtol=0, atol=2 * self.TOL)
+
+    @pytest.mark.parametrize("family", ["gaussian", "logistic", "cox"])
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_relabelled_nodes_give_the_same_fit_and_the_same_predictions(self, tmp_path, family, seed):
+        from npr.design import build_design, read_covariates
+        from npr.graph import read_edge_list, row_normalize
+
+        # new node j is old node order[j]: each CSV's rows move with their node, and each edge is renamed
+        order = np.random.default_rng(seed).permutation(24)
+        label = np.argsort(order)  # the new name of each old node
+        (tmp_path / "relabelled").mkdir()
+        relabelled = {}
+        for name in ("edges.csv", "covariates.csv", "response.csv", "binary.csv", "time.csv", "event.csv"):
+            header, *rows = (TOY / name).read_text().splitlines()
+            rows = ([",".join(str(label[int(v)]) for v in row.split(",")) for row in rows] if name == "edges.csv"
+                    else [rows[i] for i in order])
+            relabelled[name] = tmp_path / "relabelled" / name
+            relabelled[name].write_text("\n".join([header, *rows]) + "\n")
+        base, base_pred = self.fit_and_predict(tmp_path, family, {})
+        got, got_pred = self.fit_and_predict(tmp_path / "relabelled", family, relabelled)
+        got_pred = got_pred[label]  # back to the old names
+        assert got["selected_columns"] == base["selected_columns"]
+        theta, got_theta = (np.array([c["estimate"] for c in r["coefficients"]]) for r in (base, got))
+
+        # each prediction's bound: theta's bound times the row's columns, plus a term for the
+        # relabelled sums (the propagation, the means), which move it by some ulps
+        X = read_covariates(TOY / "covariates.csv")
+        S = build_design(row_normalize(read_edge_list(TOY / "edges.csv", n_nodes=24)), X, 2).full_matrix()
+        S = S[:, base["selected_columns"]]
+        if family == "gaussian":  # QR of the same columns in permuted rows
+            np.testing.assert_allclose(got_theta, theta, rtol=1e-12, atol=0)
+            # y_mean + (S - m) theta, with theta within 1e-12 relative
+            scale = abs(base["gaussian"]["y_mean"]) + np.abs(S - base["gaussian"]["column_means"]) @ np.abs(theta)
+            bound = 2e-12 * scale
+        else:
+            # Newton stops once its step's max-norm falls below --tol, so each estimate, and the
+            # intercept, lies within 2 TOL: each linear predictor within 2 TOL (1 + sum |S|)
+            np.testing.assert_allclose(got_theta, theta, rtol=0, atol=2 * self.TOL)
+            intercept = base["logistic"]["intercept"] if family == "logistic" else 0.0
+            if family == "logistic":
+                assert abs(got["logistic"]["intercept"] - intercept) <= 2 * self.TOL
+            eta = 2 * self.TOL * (1 + np.abs(S).sum(axis=1)) + 1e-12 * (abs(intercept) + np.abs(S) @ np.abs(theta))
+            # expit's slope is at most 1/4; exp moves by the factor expm1 of its argument's change
+            bound = eta / 4 if family == "logistic" else base_pred * np.expm1(eta)
+        assert np.all(np.abs(got_pred - base_pred) <= bound)
 
 
 class TestManifest:

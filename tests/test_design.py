@@ -270,8 +270,12 @@ def test_predictors_reject_a_foreign_or_centered_design(family):
         surv = SurvivalData(time=rng.exponential(size=40) + 0.01, event=np.ones(40))
         fit, predictor = fit_cox(forward_select(raw), surv), predict_relative_risk
     assert predictor(fit, raw).shape == (40,)
-    with pytest.raises(ValueError, match="provenance"):
-        predictor(fit, build_design(W, X, 2))
+    assert max(fit.selected) >= 2  # an order-1 column, which an order-0 design lacks
+    # a design of the fit's d holds its columns at any larger K, and predicts the same bits
+    assert np.array_equal(predictor(fit, build_design(W, X, 2)), predictor(fit, raw))
+    for foreign in (build_design(W, X[:, :1], 3), build_design(W, X, 0)):  # another d; a missing column
+        with pytest.raises(ValueError, match="provenance"):
+            predictor(fit, foreign)
     with pytest.raises(ValueError, match="raw"):
         predictor(fit, center(raw))
 

@@ -311,15 +311,18 @@ class TestPredictProba:
 
     def test_provenance_mismatch(self):
         rng = np.random.default_rng(11)
-        X = rng.standard_normal((20, 2))
-        design = selected_design(empty_operator(20), X, 0)
-        y = (rng.random(20) < 0.5).astype(float)
+        W, X = row_normalize(gen_erdos_renyi(40, rng)), rng.standard_normal((40, 2))
+        design = selected_design(W, X, 1)
+        y = (rng.random(40) < 0.5).astype(float)
         if y.min() == y.max():
             y[0] = 1 - y[0]
         fit = fit_logistic(design, y)
-        other = build_design(empty_operator(20), X, 1)
-        with pytest.raises(ValueError, match="provenance"):
-            predict_proba(fit, other)
+        assert max(fit.selected) >= 2  # an order-1 column, which an order-0 design lacks
+        # a larger K holds every selected column and predicts the same bits
+        assert np.array_equal(predict_proba(fit, build_design(W, X, 2)), predict_proba(fit, design))
+        for other in (build_design(W, X[:, :1], 3), build_design(W, X, 0)):  # another d; a missing column
+            with pytest.raises(ValueError, match="provenance"):
+                predict_proba(fit, other)
 
 
 class TestAuc:
