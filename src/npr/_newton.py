@@ -21,6 +21,7 @@ from .exceptions import InputValueError, SingularMatrixError
 
 JITTER = 1e-10
 MAX_HALVINGS = 40
+MAX_ITER = 100  # the fits' cap on Newton steps
 
 
 @one_thread

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .cox import CoxFit, SurvivalData, fit_cox, predict_relative_risk
-from .design import build_design, center, forward_select, read_covariates
+from .design import DEFAULT_SELECT_TOL, build_design, center, forward_select, read_covariates
 from .exceptions import InputValueError, ModelError
 from .gaussian import (
     Z_95,
@@ -45,7 +45,6 @@ from .logistic import LogisticFit, auc, check_binary, fit_logistic, predict_prob
 from .schemas import SCHEMA_VERSION, SchemaMismatch, check, load_schema, validate_report
 from .sim import ScenarioConfig, row_splits, run_prediction_study, run_test_study
 
-DEFAULT_TOL = 1e-8
 _FIT_RECORDS = {record.family: record for record in (GaussianFit, LogisticFit, CoxFit)}
 _CSV_INPUTS = ("edges", "covariates", "response", "time", "event")
 
@@ -251,7 +250,10 @@ def cmd_simulate(args) -> None:
     testing = args.command == "simulate-test"
     cfg = ScenarioConfig(case=args.case, setting=3 if testing else args.setting, n=args.n, reps=args.reps,
                          seed=run.draw_seed(), train_frac=args.train_frac)
-    study = run_test_study(cfg, n_nulls=args.nulls) if testing else run_prediction_study(cfg)
+    try:
+        study = run_test_study(cfg, n_nulls=args.nulls) if testing else run_prediction_study(cfg)
+    except MemoryError:  # the study's arrays and seeds grow with --n and --reps alone
+        raise ValueError(f"--n {args.n} and --reps {args.reps}: the study cannot be allocated") from None
     run.write("simulation", {"study": study.kind, "config": study.config, "reps": study.reps,
                              "metrics": study.metrics})
     if args.csv:
@@ -313,7 +315,7 @@ _FLAGS = {
     "--time": {},
     "--event": {},
     "--K": {"type": int, "default": 8},
-    "--tol": {"type": _positive_float, "default": DEFAULT_TOL},
+    "--tol": {"type": _positive_float, "default": DEFAULT_SELECT_TOL},
     "--kmax": {"type": int, "required": True},
     "--alpha": {"type": float, "default": 0.05},
     "--case": {"type": int, "required": True},

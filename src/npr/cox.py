@@ -31,12 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import PropagatedDesign, finite_prediction, fit_inputs
+from .design import DEFAULT_SELECT_TOL, PropagatedDesign, finite_prediction, fit_inputs
 from .exceptions import InputValueError
-from ._newton import NewtonFit, newton_fields, newton_maximize
-
-DEFAULT_TOL = 1e-8
-DEFAULT_MAX_ITER = 100
+from ._newton import MAX_ITER, NewtonFit, newton_fields, newton_maximize
 
 
 @dataclass(eq=False)
@@ -178,12 +175,7 @@ class _RiskSetEngine:
         return ll, score, info
 
 
-def fit_cox(
-    design: PropagatedDesign,
-    surv: SurvivalData,
-    max_iter: int = DEFAULT_MAX_ITER,
-    tol: float = DEFAULT_TOL,
-) -> CoxFit:
+def fit_cox(design: PropagatedDesign, surv: SurvivalData, tol: float = DEFAULT_SELECT_TOL) -> CoxFit:
     """Newton maximization of the Breslow partial likelihood.
 
     The design must be uncentered and forward-selected, with no intercept
@@ -200,7 +192,7 @@ def fit_cox(
     result = newton_maximize(
         engine.loglik_score_info,
         np.zeros(engine.p),
-        max_iter=max_iter,
+        max_iter=MAX_ITER,
         tol=tol,
         loglik=engine.loglik,
     )

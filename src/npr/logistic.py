@@ -13,12 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import PropagatedDesign, finite_prediction, fit_inputs
+from .design import DEFAULT_SELECT_TOL, PropagatedDesign, finite_prediction, fit_inputs
 from .exceptions import InputValueError, SeparationError
-from ._newton import NewtonFit, newton_fields, newton_maximize
+from ._newton import MAX_ITER, NewtonFit, newton_fields, newton_maximize
 
-DEFAULT_TOL = 1e-8
-DEFAULT_MAX_ITER = 100
 SEPARATION_BOUND = 30.0  # logit scale beyond double-precision probability resolution
 
 
@@ -66,23 +64,17 @@ def _intercept_columns(design: PropagatedDesign) -> np.ndarray:
     return X
 
 
-def fit_logistic(
-    design: PropagatedDesign,
-    y: np.ndarray,
-    max_iter: int = DEFAULT_MAX_ITER,
-    tol: float = DEFAULT_TOL,
-    separation_bound: float = SEPARATION_BOUND,
-) -> LogisticFit:
+def fit_logistic(design: PropagatedDesign, y: np.ndarray, tol: float = DEFAULT_SELECT_TOL) -> LogisticFit:
     """Newton maximization of the Bernoulli log-likelihood.
 
     The design must be uncentered and forward-selected; an all-ones
     intercept column is prepended internally.  Iterations start at zero,
     halve the step whenever the log-likelihood would not increase, and
-    stop when the max-norm of the accepted step falls below ``tol``.
-    Raises :class:`SeparationError` when the fitted logits exceed
-    ``separation_bound`` (beyond double-precision probability resolution)
-    while the iteration is still moving, the signature of a likelihood
-    maximized only at infinity.
+    stop when the max-norm of the accepted step falls below ``tol``, or
+    after ``MAX_ITER`` steps.  Raises :class:`SeparationError` when the
+    fitted logits exceed ``SEPARATION_BOUND`` (beyond double-precision
+    probability resolution) while the iteration is still moving, the
+    signature of a likelihood maximized only at infinity.
     """
     from scipy.special import expit  # imported here, not at start-up: the studies never need it
 
@@ -104,7 +96,7 @@ def fit_logistic(
         return ll, score, hess
 
     def guard(theta, step_inf):
-        if step_inf >= tol and np.abs(X @ theta).max() > separation_bound:
+        if step_inf >= tol and np.abs(X @ theta).max() > SEPARATION_BOUND:
             raise SeparationError(
                 "perfect separation detected: fitted logits diverge without convergence"
             )
@@ -115,7 +107,7 @@ def fit_logistic(
     result = newton_maximize(
         objective,
         np.zeros(X.shape[1]),
-        max_iter=max_iter,
+        max_iter=MAX_ITER,
         tol=tol,
         loglik=loglik_only,
         guard=guard,

@@ -49,6 +49,10 @@ COHESION_ETAS = (-2.5, 0.0, 2.5)
 COHESION_MU_VAR = 0.25
 NOISE_SIGMA = 1.0
 
+# the studies' fixed design: d covariates, propagated to order K
+STUDY_D = 10
+STUDY_K = 8
+
 # testing study: five sequential hypotheses at level 0.05, coefficients
 # uniform on +-0.25 scaled by 1/sqrt(2)
 TEST_K_MAX = 4
@@ -61,17 +65,16 @@ _DEFAULT_COMPETITOR = {1: "lim", 2: "lim2", 3: "lim", 4: "oracle"}
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Configuration for one simulation study cell."""
+    """Configuration for one simulation study cell.  Every cell fits the
+    fixed design of ``STUDY_D`` covariates to order ``STUDY_K``, selected
+    at ``DEFAULT_SELECT_TOL``."""
 
     case: int
     setting: int
     n: int
-    d: int = 10
-    k_fit: int = 8
     reps: int = 100
     seed: int | None = None
     train_frac: float = 0.8
-    select_tol: float = DEFAULT_SELECT_TOL
     competitor: str | None = None  # lim | lim2 | oracle | self
 
     def __post_init__(self):
@@ -96,7 +99,8 @@ class ScenarioConfig:
         return self.competitor or _DEFAULT_COMPETITOR[self.setting]
 
     def to_dict(self) -> dict:
-        return {**dataclasses.asdict(self), "competitor": self.resolved_competitor()}
+        return {**dataclasses.asdict(self), "d": STUDY_D, "k_fit": STUDY_K, "select_tol": DEFAULT_SELECT_TOL,
+                "competitor": self.resolved_competitor()}
 
 
 @dataclass(eq=False)
@@ -175,7 +179,7 @@ def _network(cfg: ScenarioConfig, rng: np.random.Generator):
     """One replicate's network: ``(graph, labels_or_None, W, X)``, the case's
     graph, its row normalization and fresh covariates, drawn in that order."""
     graph, labels = graph_for_case(cfg.case, cfg.n, rng)
-    return graph, labels, row_normalize(graph), covariates_for_case(cfg.case, cfg.n, cfg.d, rng)
+    return graph, labels, row_normalize(graph), covariates_for_case(cfg.case, cfg.n, STUDY_D, rng)
 
 
 def row_splits(n: int, frac: float, rng: np.random.Generator, count: int):
@@ -221,11 +225,10 @@ def _rmse(y, pred) -> float:
     return float(np.sqrt(np.mean(err ** 2)))
 
 
-def _npr_fit(design_raw, y, rows, tol):
-    """Center, select and fit on a row subset of the raw design."""
-    sub = design_raw.subset_rows(rows)
-    selected = forward_select(center(sub), tol)
-    return fit_ols(selected, np.asarray(y)[rows])
+def _npr_fit(design, y):
+    """Center, select and fit a raw design: the studies' propagation regression."""
+    design = center(design)  # rebinding frees a caller's row subset before selection
+    return fit_ols(forward_select(design), y)
 
 
 def _cohesion_mean(X, params, aux):
@@ -265,26 +268,26 @@ def _competitor(name, W, X, y, params, aux, train):
 def _prediction_replicate(cfg: ScenarioConfig, seed: np.random.SeedSequence) -> dict:
     rng = np.random.default_rng(seed)
     graph, labels, W, X = _network(cfg, rng)
-    params = draw_setting_params(cfg.setting, cfg.d, rng)
+    params = draw_setting_params(cfg.setting, STUDY_D, rng)
     y, aux = generate_response(cfg.setting, W, X, params, rng, labels)
 
-    design = build_design(W, X, cfg.k_fit)
+    design = build_design(W, X, STUDY_K)
 
     # in-sample comparisons on the full data
-    fit_full = _npr_fit(design, y, np.arange(cfg.n), cfg.select_tol)
+    fit_full = _npr_fit(design, y)
     rmse_npr_in = math.sqrt(fit_full.rss / cfg.n)
     rmse_oracle_in = _rmse(y, _oracle_structural(cfg.setting, W, X, y, params, aux))
 
     # row split on the shared network (features propagated on the full graph)
     train, test, _ = split_scenarios(graph, cfg.train_frac, "linked", rng)
-    fit_train = _npr_fit(design, y, train, cfg.select_tol)
+    fit_train = _npr_fit(design.subset_rows(train), y[train])
     rmse_npr_linked = _rmse(y[test], predict(fit_train, design.subset_rows(test)))
 
     # isolated scenario: an independent same-size network with fresh
     # covariates and noise, scored on a fresh test set of the split size
     _, t_labels, Wt, Xt = _network(cfg, rng)
     yt, aux_t = generate_response(cfg.setting, Wt, Xt, params, rng, t_labels)
-    design_t = build_design(Wt, Xt, cfg.k_fit)
+    design_t = build_design(Wt, Xt, STUDY_K)
     rows_t = np.sort(rng.permutation(cfg.n)[:test.size])
     rmse_npr_iso = _rmse(yt[rows_t], predict(fit_train, design_t.subset_rows(rows_t)))
 
@@ -318,14 +321,14 @@ def _test_replicate(cfg: ScenarioConfig, n_nulls: int, seed: np.random.SeedSeque
     _, _, W, X = _network(cfg, rng)
     n_signal_orders = (TEST_K_MAX + 1) - n_nulls
     lambdas = [
-        rng.uniform(-TEST_COEF_HALF_WIDTH, TEST_COEF_HALF_WIDTH, cfg.d) * TEST_COEF_SCALE
+        rng.uniform(-TEST_COEF_HALF_WIDTH, TEST_COEF_HALF_WIDTH, STUDY_D) * TEST_COEF_SCALE
         for _ in range(n_signal_orders)
     ]
     y = gen_npr(W, X, lambdas, NOISE_SIGMA, rng)
 
-    design = forward_select(center(build_design(W, X, cfg.k_fit)), cfg.select_tol)
-    fit = fit_ols(design, y)
-    report = order_test(fit, design, k_max=TEST_K_MAX, xi=TEST_XI)
+    # the raw design is not held here: a reference would keep it alive through the fit
+    fit = _npr_fit(build_design(W, X, STUDY_K), y)
+    report = order_test(fit, None, k_max=TEST_K_MAX, xi=TEST_XI)
 
     unadjusted = [bool(rec["p"] <= TEST_XI) for rec in report.records]
 

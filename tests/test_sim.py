@@ -1,10 +1,16 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from npr.design import PropagatedDesign
 from npr.sim import (
+    STUDY_D,
+    STUDY_K,
     ScenarioConfig,
+    _prediction_replicate,
+    _test_replicate,
     covariates_for_case,
     graph_for_case,
     run_prediction_study,
@@ -199,3 +205,43 @@ class TestTestingStudy:
             es[n] = pooled_test_study(cfg, n_nulls=3).metrics["ES"]
         assert es[5000] < es[1000]
         assert abs(es[5000] - 0.05) < 0.025
+
+
+def design_copies_at_peak(replicate, cfg, *args) -> float:
+    """The tracemalloc peak of one replicate, in copies of its n x (K+1)d
+    design.  A first, untraced run loads what the replicate imports lazily."""
+    seed = np.random.SeedSequence(cfg.seed)
+    replicate(cfg, *args, seed)
+    tracemalloc.start()
+    try:
+        replicate(cfg, *args, seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (cfg.n * STUDY_D * (STUDY_K + 1) * 8)
+
+
+class TestStudyMemory:
+    def test_a_prediction_study_never_copies_every_row_of_a_design(self, monkeypatch):
+        # the in-sample fit centers the full design itself; only the split's rows are copied
+        copied = []
+        subset_rows = PropagatedDesign.subset_rows
+
+        def spy(design, rows):
+            copied.append((design.n_rows, len(rows)))
+            return subset_rows(design, rows)
+
+        monkeypatch.setattr(PropagatedDesign, "subset_rows", spy)
+        monkeypatch.setenv("NPR_THREADS", "1")
+        run_prediction_study(ScenarioConfig(case=3, setting=1, n=150, reps=2, seed=1))
+        assert copied and all(rows < n for n, rows in copied)
+
+    def test_a_testing_replicate_holds_no_raw_design_through_its_fit(self):
+        # 3.27 copies here; holding the raw design through the fit reads 4.27
+        cfg = ScenarioConfig(case=1, setting=3, n=3000, reps=1, seed=0)
+        assert design_copies_at_peak(_test_replicate, cfg, 2) < 3.5
+
+    def test_a_prediction_replicate_holds_no_full_row_copy(self):
+        # 4.66-4.69 copies over four seeds here; a copy of every row before the in-sample fit reads 5.37-5.38
+        cfg = ScenarioConfig(case=3, setting=1, n=1000, reps=1, seed=0)
+        assert design_copies_at_peak(_prediction_replicate, cfg) < 5
