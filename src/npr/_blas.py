@@ -1,16 +1,22 @@
-"""OpenBLAS thread counts pinned to one around npr's small products.
+"""numpy's OpenBLAS: npr's p x p LAPACK solves and its thread count.
 
-numpy and scipy each bundle an OpenBLAS copy with its own thread pool, and
-an OpenBLAS worker keeps spinning for a while after a threaded call, so
-threads that cannot help still hold a core.  :func:`one_thread` runs npr's
-p x p scipy solves with scipy's copy on one thread.  :func:`all_one_thread`
-runs each simulation replicate, whose n x 90 products are too small for two
-threads to pay, with both copies on one thread; logistic and cox fits, whose
-bits depend on numpy's thread count, never run under it.
+Every LAPACK call npr makes outside the QR is a p x p triangular or
+Cholesky solve.  :func:`solve_triangular`, :func:`cho_factor` and
+:func:`cho_solve` make them through ctypes bindings to the OpenBLAS that
+numpy bundles, with the arguments ``scipy.linalg`` passes, so they give its
+bits without loading ``scipy.linalg`` or scipy's own OpenBLAS copy.  Each
+runs on one thread of numpy's copy for that call only: an OpenBLAS worker
+keeps spinning for a while after a threaded call, so threads that cannot
+help still hold a core.  When numpy runs on another BLAS (an MKL or system
+build, or a numpy 1.x wheel, whose library is not named as this lookup
+expects), the three call ``scipy.linalg`` itself.
 
-Each copy has one pin, shared by both decorators: over nested and concurrent
-calls from all Python threads, the first entry saves the copy's count and the
-last exit restores it.
+:func:`all_one_thread` runs each simulation replicate, whose n x 90
+products are too small for two threads to pay, with numpy's copy on one
+thread; logistic and cox fits, whose bits depend on numpy's thread count,
+never run under it.  The copy has one pin, shared by the LAPACK calls and
+the decorator: over nested and concurrent calls from all Python threads,
+the first entry saves the copy's count and the last exit restores it.
 """
 
 from __future__ import annotations
@@ -22,17 +28,22 @@ import os
 import threading
 
 import numpy as np
-import scipy.linalg  # loads scipy's OpenBLAS, so the lookup finds that copy
+
+_INT = ctypes.c_int64  # numpy's copy has the 64-bit integer interface
 
 
 class _Copy:
-    """One loaded OpenBLAS copy's thread count and its shared pin."""
+    """numpy's loaded OpenBLAS copy: its thread count, its shared pin and
+    the three LAPACK routines npr calls."""
 
-    def __init__(self, lib, suffix: str):
-        self.get_threads = getattr(lib, "scipy_openblas_get_num_threads" + suffix)
+    def __init__(self, lib):
+        self.get_threads = lib.scipy_openblas_get_num_threads64_
         self.get_threads.argtypes, self.get_threads.restype = [], ctypes.c_int
-        self.set_threads = getattr(lib, "scipy_openblas_set_num_threads" + suffix)
+        self.set_threads = lib.scipy_openblas_set_num_threads64_
         self.set_threads.argtypes, self.set_threads.restype = [ctypes.c_int], None
+        self._routines = {name: getattr(lib, f"scipy_d{name}_64_") for name in ("trtrs", "potrf", "potrs")}
+        for routine in self._routines.values():
+            routine.restype = None
         self._lock = threading.Lock()
         self._depth = 0  # pinned calls running, over all Python threads
         self._saved = 0  # the count before the outermost of them
@@ -50,57 +61,109 @@ class _Copy:
             if self._depth == 0:
                 self.set_threads(self._saved)
 
-
-def _find(package, suffix: str) -> _Copy | None:
-    """The OpenBLAS copy bundled in ``<package>.libs``, or None when the
-    package runs on another BLAS (MKL, Accelerate, a system library)."""
-    root = os.path.dirname(os.path.dirname(package.__file__))
-    libs = os.path.join(root, package.__name__ + ".libs")
-    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*"))):
+    def lapack(self, name: str, *args) -> int:
+        """LAPACK's ``d<name>`` on one thread, and its ``info`` if not
+        negative; a negative one, an illegal argument, raises ``ValueError``.
+        ``args`` are its arguments before ``info``: bytes for a character
+        flag, int for an integer, a Fortran-ordered float64 array for a
+        matrix.  Each is passed by reference, then each flag's length, as
+        Fortran expects."""
+        refs = [ctypes.c_char_p(a) if isinstance(a, bytes)
+                else ctypes.c_void_p(a.ctypes.data) if isinstance(a, np.ndarray)
+                else ctypes.byref(_INT(a)) for a in args]
+        lengths = [ctypes.c_size_t(1) for a in args if isinstance(a, bytes)]
+        info = _INT(0)
+        self.pin()
         try:
-            return _Copy(ctypes.CDLL(path), suffix)  # the copy already loaded in this process
+            self._routines[name](*refs, ctypes.byref(info), *lengths)
+        finally:
+            self.unpin()
+        if info.value < 0:
+            raise ValueError(f"illegal value in {-info.value}-th argument of internal {name}")
+        return info.value
+
+
+@functools.cache
+def _load_numpy() -> _Copy | None:
+    """numpy's OpenBLAS copy, bundled in ``numpy.libs`` (symbols suffixed
+    ``64_``), or None when numpy runs on another BLAS."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*"))):
+        try:
+            return _Copy(ctypes.CDLL(path))  # the copy already loaded in this process
         except (OSError, AttributeError):
             continue
     return None
 
 
-@functools.cache
-def _load() -> _Copy | None:
-    """scipy's OpenBLAS copy (32-bit integer interface)."""
-    return _find(scipy, "")
+def _finite(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        if not np.isfinite(a).all():
+            raise ValueError("array must not contain infs or NaNs")
 
 
-@functools.cache
-def _load_numpy() -> _Copy | None:
-    """numpy's OpenBLAS copy (64-bit integer interface, symbols suffixed ``64_``)."""
-    return _find(np, "64_")
+def solve_triangular(r, b) -> np.ndarray:
+    """``scipy.linalg.solve_triangular(r, b)``: ``x`` with ``r @ x = b``,
+    for an upper triangular ``r`` and a vector or matrix ``b``; a matrix
+    ``x`` is F-ordered.  A zero on the diagonal raises ``LinAlgError``."""
+    copy = _load_numpy()
+    if copy is None:
+        from scipy import linalg
+        return linalg.solve_triangular(r, b)
+    r, x = np.asarray(r, dtype=np.float64), np.array(b, dtype=np.float64, order="F")
+    _finite(r, x)
+    n = max(1, r.shape[0])
+    # LAPACK reads an F-ordered r; scipy solves any other r through the lower r.T
+    uplo, trans, a = (b"U", b"N", r) if r.flags.f_contiguous else (b"L", b"T", np.asfortranarray(r.T))
+    info = copy.lapack("trtrs", uplo, trans, b"N", r.shape[0], x.shape[1] if x.ndim == 2 else 1, a, n, x, n)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    return x
 
 
-def _pinned(func, copies):
-    """``func`` run with each found copy in ``copies`` on one thread; the
-    identity when none is found."""
-    copies = [c for c in copies if c is not None]
-    if not copies:
+def cho_factor(a) -> np.ndarray:
+    """``scipy.linalg.cho_factor(a)[0]``: the upper Cholesky factor of
+    ``a`` on an F-ordered copy whose strict lower triangle keeps ``a``'s
+    entries.  An ``a`` that is not positive definite raises ``LinAlgError``."""
+    copy = _load_numpy()
+    if copy is None:
+        from scipy import linalg
+        return linalg.cho_factor(a)[0]
+    c = np.array(a, dtype=np.float64, order="F")
+    _finite(c)
+    info = copy.lapack("potrf", b"U", c.shape[0], c, max(1, c.shape[0]))
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{info}-th leading minor of the array is not positive definite")
+    return c
+
+
+def cho_solve(c, b) -> np.ndarray:
+    """``scipy.linalg.cho_solve((c, False), b)``: ``x`` with ``a @ x = b``,
+    where ``c`` is :func:`cho_factor`'s factor of ``a``."""
+    copy = _load_numpy()
+    if copy is None:
+        from scipy import linalg
+        return linalg.cho_solve((c, False), b)
+    c, x = np.asfortranarray(c, dtype=np.float64), np.array(b, dtype=np.float64, order="F")
+    _finite(c, x)
+    n = max(1, c.shape[0])
+    copy.lapack("potrs", b"U", c.shape[0], x.shape[1] if x.ndim == 2 else 1, c, n, x, n)
+    return x
+
+
+def all_one_thread(func):
+    """Run ``func`` with numpy's OpenBLAS on one thread; the identity when
+    numpy runs on another BLAS."""
+    copy = _load_numpy()
+    if copy is None:
         return func
 
     @functools.wraps(func)
     def pinned(*args, **kwargs):
-        for copy in copies:
-            copy.pin()
+        copy.pin()
         try:
             return func(*args, **kwargs)
         finally:
-            for copy in reversed(copies):
-                copy.unpin()
+            copy.unpin()
 
     return pinned
-
-
-def one_thread(func):
-    """Run ``func`` with scipy's OpenBLAS on one thread."""
-    return _pinned(func, [_load()])
-
-
-def all_one_thread(func):
-    """Run ``func`` with numpy's and scipy's OpenBLAS on one thread."""
-    return _pinned(func, [_load_numpy(), _load()])

@@ -4,8 +4,10 @@ Used by the logistic and Cox fitters, which share the same convergence
 contract: start at zero, never accept a step that decreases the objective,
 declare convergence when the accepted step's max-norm drops below the
 tolerance, and treat a singular information matrix as an error after one
-retry with a tiny ridge.  Their fit records share :class:`NewtonFit`, the
-solver's diagnostics and the standard errors from the information.
+retry with a tiny ridge.  Each step's Cholesky solve calls numpy's LAPACK
+through ``_blas``, on one thread for that call.  Their fit records share
+:class:`NewtonFit`, the solver's diagnostics and the standard errors from
+the information.
 """
 
 from __future__ import annotations
@@ -13,9 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sla
 
-from ._blas import one_thread
+from ._blas import cho_factor, cho_solve
 from .design import OUT_OF_RANGE, FitRecord
 from .exceptions import InputValueError, SingularMatrixError
 
@@ -24,7 +25,6 @@ MAX_HALVINGS = 40
 MAX_ITER = 100  # the fits' cap on Newton steps
 
 
-@one_thread
 def _solve_information(hess: np.ndarray, score: np.ndarray) -> tuple[np.ndarray, bool]:
     """Newton step ``hess^-1 score``, and whether the ridge retry was needed.
 
@@ -37,14 +37,11 @@ def _solve_information(hess: np.ndarray, score: np.ndarray) -> tuple[np.ndarray,
             np.abs(hess.diagonal()) < np.finfo(np.float64).tiny).any():
         raise InputValueError(OUT_OF_RANGE, "covariates")
     try:
-        c, low = sla.cho_factor(hess)
-        return sla.cho_solve((c, low), score), False
+        return cho_solve(cho_factor(hess), score), False
     except np.linalg.LinAlgError:
         pass
     try:
-        jittered = hess + JITTER * np.eye(hess.shape[0])
-        c, low = sla.cho_factor(jittered)
-        return sla.cho_solve((c, low), score), True
+        return cho_solve(cho_factor(hess + JITTER * np.eye(hess.shape[0])), score), True
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError("information matrix is singular") from exc
 

@@ -43,7 +43,7 @@ from .gaussian import (
 from .graph import _read_csv, read_edge_list
 from .logistic import LogisticFit, auc, check_binary, fit_logistic, predict_proba
 from .schemas import SCHEMA_VERSION, SchemaMismatch, check, load_schema, validate_report
-from .sim import ScenarioConfig, row_splits, run_prediction_study, run_test_study
+from .sim import ScenarioConfig, row_splits, run_prediction_study, run_test_study, train_rows
 
 _FIT_RECORDS = {record.family: record for record in (GaussianFit, LogisticFit, CoxFit)}
 _CSV_INPUTS = ("edges", "covariates", "response", "time", "event")
@@ -90,6 +90,8 @@ class _Run:
         into its ``arguments``."""
         if self.args.seed is None:
             self.args.seed = int(np.random.SeedSequence().entropy % (2 ** 63))
+        elif self.args.seed < 0:
+            raise ValueError(f"--seed {self.args.seed}: must be a non-negative integer")
         return self.args.seed
 
     def read_fit(self):
@@ -243,6 +245,14 @@ def _replicate_csv(path, report) -> None:
                         writer.writerow([i, f"{key}_j{j}", repr(float(item))])
 
 
+def _check_split(args, n: int) -> None:
+    """Refuse a ``--train-frac`` whose split of ``n`` rows leaves either side empty."""
+    try:
+        train_rows(n, args.train_frac)
+    except ValueError as exc:
+        raise ValueError(f"--train-frac {args.train_frac}: {exc}") from None
+
+
 def cmd_simulate(args) -> None:
     """``simulate`` and ``simulate-test``: a seeded study, its report and, if
     asked, its replicate rows.  The testing study runs in setting 3."""
@@ -250,6 +260,8 @@ def cmd_simulate(args) -> None:
     testing = args.command == "simulate-test"
     cfg = ScenarioConfig(case=args.case, setting=3 if testing else args.setting, n=args.n, reps=args.reps,
                          seed=run.draw_seed(), train_frac=args.train_frac)
+    if not testing:  # the testing study splits no rows
+        _check_split(args, cfg.n)
     try:
         study = run_test_study(cfg, n_nulls=args.nulls) if testing else run_prediction_study(cfg)
     except MemoryError:  # the study's arrays and seeds grow with --n and --reps alone
@@ -273,6 +285,7 @@ def cmd_eval_auc(args) -> None:
     X = read_covariates(args.covariates)
     if X.shape[0] != y.shape[0]:
         raise InputValueError(f"covariates have {X.shape[0]} rows but {y.shape[0]} were expected", "covariates")
+    _check_split(args, y.shape[0])
     design = _load_design(args, X, payload["K"], f"{args.fit}: K")
     tol = payload["tol"]
     scores = []

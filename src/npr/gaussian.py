@@ -2,7 +2,9 @@
 
 Least squares is solved through a QR decomposition of the selected design
 (never the normal equations); the Gram matrix and its inverse are derived
-from the triangular factor.  The sequential Wald machinery tests, for each
+from the triangular factor.  The QR is numpy's own binding; the p x p
+triangular and Wald solves call numpy's LAPACK through ``_blas``, with the
+bits of the ``scipy.linalg`` calls they replace.  The sequential Wald machinery tests, for each
 order j, whether every selected coefficient of propagation order >= j is
 zero, and Holm's step-down procedure converts the resulting p-values into
 family-wise-error-controlled decisions about the propagation order.
@@ -16,9 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import lapack_lite
-from scipy import linalg as sla
 
-from ._blas import one_thread
+from ._blas import cho_factor, cho_solve, solve_triangular
 from .design import OUT_OF_RANGE, FitRecord, PropagatedDesign, finite_prediction, fit_inputs
 from .exceptions import InputValueError, ModelError, SingularMatrixError
 
@@ -109,7 +110,6 @@ def _in_units(values: np.ndarray, exponents, *inputs: str) -> np.ndarray:
     return out
 
 
-@one_thread
 def fit_ols(design: PropagatedDesign, y: np.ndarray) -> GaussianFit:
     """Least-squares fit of a centered, forward-selected design.
 
@@ -156,9 +156,9 @@ def fit_ols(design: PropagatedDesign, y: np.ndarray) -> GaussianFit:
         raise SingularMatrixError(
             "selected design is numerically singular; forward selection should prevent this"
         )
-    theta = sla.solve_triangular(R, Q.T @ yc)
+    theta = solve_triangular(R, Q.T @ yc)
     del Q
-    r_inv = sla.solve_triangular(R, np.eye(p))
+    r_inv = solve_triangular(R, np.eye(p))
     xtx_inv = r_inv @ r_inv.T
     units = ex[:, None] + ex
     gram = _in_units((R.T @ R) / n, units, "covariates")
@@ -231,7 +231,6 @@ def t_statistics(fit: GaussianFit) -> list[dict]:
     return out
 
 
-@one_thread
 def wald_statistic(fit: GaussianFit, design: PropagatedDesign | None, j: int) -> dict:
     """Wald quadratic form for the hypothesis that all selected
     coefficients of propagation order >= j vanish.
@@ -256,12 +255,12 @@ def wald_statistic(fit: GaussianFit, design: PropagatedDesign | None, j: int) ->
         raise ModelError(f"zero residual variance: the order-{j} Wald statistic of an exact fit is undefined")
     theta_r = fit.theta_hat[idx]
     G = fit.gram_inverse[np.ix_(idx, idx)]
+    # scipy.linalg.solve(G, theta_r, assume_a="pos"), which divides a 1 x 1 G,
+    # then scipy.linalg.lstsq's cutoff if G is not positive definite
     try:
-        with warnings.catch_warnings():  # an ill-conditioned G still gives its solve's T
-            warnings.simplefilter("ignore", sla.LinAlgWarning)
-            sol = sla.solve(G, theta_r, assume_a="pos")
+        sol = theta_r / G[0, 0] if m == 1 and G[0, 0] != 0 else cho_solve(cho_factor(G), theta_r)
     except np.linalg.LinAlgError:
-        sol = sla.lstsq(G, theta_r)[0]
+        sol = np.linalg.lstsq(G, theta_r, rcond=np.finfo(np.float64).eps)[0]
     T = float(fit.n * (theta_r @ sol) / fit.sigma2_hat)
     return {"j": j, "m": m, "T": T}
 

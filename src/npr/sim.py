@@ -16,8 +16,8 @@ and confidence-interval coverage (CP).
 Every replicate draws from its own child of the master seed, so results
 are independent of execution order and identical under serial or parallel
 execution; the ``NPR_THREADS`` environment variable caps worker processes.
-Each replicate runs with both OpenBLAS copies on one thread, serially and
-in a worker alike (see ``_blas``).
+Each replicate runs with numpy's OpenBLAS on one thread, serially and in a
+worker alike (see ``_blas``).
 """
 
 from __future__ import annotations
@@ -182,16 +182,23 @@ def _network(cfg: ScenarioConfig, rng: np.random.Generator):
     return graph, labels, row_normalize(graph), covariates_for_case(cfg.case, cfg.n, STUDY_D, rng)
 
 
+def train_rows(n: int, frac: float) -> int:
+    """``round(frac * n)``, the training rows of a split of ``n`` rows; a
+    split that leaves either side empty raises ``ValueError``."""
+    n_train = int(round(frac * n))
+    if n_train < 1 or n_train >= n:
+        raise ValueError(f"degenerate split sizes: {n_train} of {n} rows to train on, {n - n_train} held out")
+    return n_train
+
+
 def row_splits(n: int, frac: float, rng: np.random.Generator, count: int):
     """``count`` random (train, test) splits of the rows ``0..n-1``.
 
-    Each split holds ``round(frac * n)`` training rows, takes one
+    Each split holds ``train_rows(n, frac)`` training rows, takes one
     ``rng.permutation(n)`` when it is drawn, and returns both row sets
     sorted.  Degenerate sizes raise before any draw.
     """
-    n_train = int(round(frac * n))
-    if n_train < 1 or n_train >= n:
-        raise ValueError("degenerate split sizes")
+    n_train = train_rows(n, frac)
     perms = (rng.permutation(n) for _ in range(count))
     return ((np.sort(perm[:n_train]), np.sort(perm[n_train:])) for perm in perms)
 

@@ -1143,6 +1143,28 @@ class TestMain:
         assert f"argument --train-frac: must be a finite number strictly between 0 and 1, got {frac!r}" in err
         assert not out.exists()
 
+    STUDY_ARGV = {
+        "eval-auc": ["--fit", str(TOY / "golden_logistic_fit.json"), "--edges", str(TOY / "edges.csv"),
+                     "--covariates", str(TOY / "covariates.csv"), "--response", str(TOY / "binary.csv")],
+        "simulate": ["--case", "1", "--setting", "1", "--n", "60", "--reps", "1"],
+        "simulate-test": ["--case", "1", "--nulls", "2", "--n", "60", "--reps", "1"],
+    }
+
+    @pytest.mark.parametrize("command, seed", [("simulate", "-1"), ("simulate-test", "-1"), ("eval-auc", "-3")])
+    def test_a_negative_seed_is_refused_naming_the_flag(self, tmp_path, capsys, command, seed):
+        out = tmp_path / "r.json"
+        assert run(command, *self.STUDY_ARGV[command], "--seed", seed, "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: --seed {seed}: must be a non-negative integer\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, frac, rows", [("simulate", "0.995", 60), ("eval-auc", "0.999", 24)])
+    def test_a_degenerate_split_is_refused_naming_the_flag_and_the_rows(self, tmp_path, capsys, command, frac, rows):
+        out = tmp_path / "r.json"
+        assert run(command, *self.STUDY_ARGV[command], "--seed", "1", "--train-frac", frac, "--out", str(out)) == 2
+        assert capsys.readouterr().err == (f"error: --train-frac {frac}: degenerate split sizes: "
+                                           f"{rows} of {rows} rows to train on, 0 held out\n")
+        assert not out.exists()
+
     def test_calls_in_a_row_parse_independently(self, tmp_path):
         # the parser is built once; no flag of one call leaks into the next
         assert build_parser() is build_parser()
@@ -1675,6 +1697,31 @@ def test_prediction_study_loads_neither_scipy_special_nor_sparse_linalg(tmp_path
     argv = ["simulate", "--case", "3", "--setting", "1", "--n", "200", "--reps", "2", "--seed", "1",
             "--out", str(tmp_path / "study.json")]
     assert cli_import_modules(*DEFERRED_SCIPY, argv=argv) == []
+
+
+SCIPY_LINALG_FREE = {  # each command on the toy inputs
+    "gaussian": toy_argv("gaussian", {}),
+    "logistic": toy_argv("logistic", {}),
+    "cox": toy_argv("cox", {}),
+    "test": ["test", "--fit", str(TOY / "golden_fit.json"), "--kmax", "2"],
+    "predict": toy_argv("predict", {}),
+    "simulate": ["simulate", "--case", "3", "--setting", "1", "--n", "200", "--reps", "2", "--seed", "1"],
+    "simulate-test": ["simulate-test", "--case", "1", "--nulls", "2", "--n", "60", "--reps", "2", "--seed", "1"],
+    "eval-auc": toy_argv("eval-auc", {}) + ["--seed", "11"],  # each split of seed 11 holds both classes
+}
+
+
+def test_cli_import_leaves_scipy_linalg_out():
+    # npr's p x p solves call numpy's own LAPACK; scipy.linalg loads only
+    # when numpy runs on another BLAS, and only at a solve
+    assert cli_import_modules("scipy.linalg") == []
+
+
+@pytest.mark.skipif(npr._blas._load_numpy() is None, reason="numpy does not run on its bundled OpenBLAS")
+@pytest.mark.parametrize("command", SCIPY_LINALG_FREE)
+def test_no_command_loads_scipy_linalg(tmp_path, command):
+    argv = SCIPY_LINALG_FREE[command] + ["--out", str(tmp_path / "out")]
+    assert cli_import_modules("scipy.linalg", argv=argv) == []
 
 
 def test_gaussian_fit_loads_scipy_special(tmp_path):
