@@ -30,6 +30,9 @@ import threading
 import numpy as np
 
 _INT = ctypes.c_int64  # numpy's copy has the 64-bit integer interface
+# each routine's arguments before info: f a character flag, i an integer, a a matrix
+_ARGS = {"trtrs": "fffiiaiai", "potrf": "fiai", "potrs": "fiiaiai"}
+_CTYPES = {"f": ctypes.c_char_p, "i": ctypes.POINTER(_INT), "a": ctypes.c_void_p}
 
 
 class _Copy:
@@ -41,8 +44,12 @@ class _Copy:
         self.get_threads.argtypes, self.get_threads.restype = [], ctypes.c_int
         self.set_threads = lib.scipy_openblas_set_num_threads64_
         self.set_threads.argtypes, self.set_threads.restype = [ctypes.c_int], None
-        self._routines = {name: getattr(lib, f"scipy_d{name}_64_") for name in ("trtrs", "potrf", "potrs")}
-        for routine in self._routines.values():
+        self._routines = {}
+        for name, kinds in _ARGS.items():
+            routine = self._routines[name] = getattr(lib, f"scipy_d{name}_64_")
+            # then info, and the length of each flag, as Fortran passes them
+            routine.argtypes = ([_CTYPES[k] for k in kinds] + [ctypes.POINTER(_INT)]
+                                + [ctypes.c_size_t] * kinds.count("f"))
             routine.restype = None
         self._lock = threading.Lock()
         self._depth = 0  # pinned calls running, over all Python threads
@@ -64,18 +71,18 @@ class _Copy:
     def lapack(self, name: str, *args) -> int:
         """LAPACK's ``d<name>`` on one thread, and its ``info`` if not
         negative; a negative one, an illegal argument, raises ``ValueError``.
-        ``args`` are its arguments before ``info``: bytes for a character
-        flag, int for an integer, a Fortran-ordered float64 array for a
-        matrix.  Each is passed by reference, then each flag's length, as
-        Fortran expects."""
-        refs = [ctypes.c_char_p(a) if isinstance(a, bytes)
-                else ctypes.c_void_p(a.ctypes.data) if isinstance(a, np.ndarray)
-                else ctypes.byref(_INT(a)) for a in args]
-        lengths = [ctypes.c_size_t(1) for a in args if isinstance(a, bytes)]
+        ``args`` are its arguments before ``info``, as ``_ARGS`` lists them:
+        bytes for a flag, int for an integer, a Fortran-ordered float64
+        array for a matrix, which the routine reads or overwrites."""
+        refs = []
+        for kind, a in zip(_ARGS[name], args, strict=True):
+            if kind == "a" and not (a.dtype == np.float64 and a.flags.f_contiguous):
+                raise ValueError(f"{name} takes Fortran-ordered float64 matrices")
+            refs.append(a.ctypes.data if kind == "a" else ctypes.byref(_INT(a)) if kind == "i" else a)
         info = _INT(0)
         self.pin()
         try:
-            self._routines[name](*refs, ctypes.byref(info), *lengths)
+            self._routines[name](*refs, ctypes.byref(info), *[1] * _ARGS[name].count("f"))
         finally:
             self.unpin()
         if info.value < 0:
@@ -96,10 +103,16 @@ def _load_numpy() -> _Copy | None:
     return None
 
 
-def _finite(*arrays: np.ndarray) -> None:
-    for a in arrays:
-        if not np.isfinite(a).all():
-            raise ValueError("array must not contain infs or NaNs")
+def _checked(a: np.ndarray, b: np.ndarray | None = None) -> int:
+    """The order of ``a``, once ``a`` is found square and finite, and ``b``
+    finite with as many rows: what ``scipy.linalg`` checks before a call."""
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("expected square matrix")
+    if b is not None and (b.ndim not in (1, 2) or b.shape[0] != a.shape[0]):
+        raise ValueError(f"shapes of a {a.shape} and b {b.shape} are incompatible")
+    if not all(np.isfinite(x).all() for x in (a, b) if x is not None):
+        raise ValueError("array must not contain infs or NaNs")
+    return a.shape[0]
 
 
 def solve_triangular(r, b) -> np.ndarray:
@@ -111,11 +124,10 @@ def solve_triangular(r, b) -> np.ndarray:
         from scipy import linalg
         return linalg.solve_triangular(r, b)
     r, x = np.asarray(r, dtype=np.float64), np.array(b, dtype=np.float64, order="F")
-    _finite(r, x)
-    n = max(1, r.shape[0])
+    n = _checked(r, x)
     # LAPACK reads an F-ordered r; scipy solves any other r through the lower r.T
     uplo, trans, a = (b"U", b"N", r) if r.flags.f_contiguous else (b"L", b"T", np.asfortranarray(r.T))
-    info = copy.lapack("trtrs", uplo, trans, b"N", r.shape[0], x.shape[1] if x.ndim == 2 else 1, a, n, x, n)
+    info = copy.lapack("trtrs", uplo, trans, b"N", n, x.shape[1] if x.ndim == 2 else 1, a, max(1, n), x, max(1, n))
     if info > 0:
         raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
     return x
@@ -130,8 +142,8 @@ def cho_factor(a) -> np.ndarray:
         from scipy import linalg
         return linalg.cho_factor(a)[0]
     c = np.array(a, dtype=np.float64, order="F")
-    _finite(c)
-    info = copy.lapack("potrf", b"U", c.shape[0], c, max(1, c.shape[0]))
+    n = _checked(c)
+    info = copy.lapack("potrf", b"U", n, c, max(1, n))
     if info > 0:
         raise np.linalg.LinAlgError(f"{info}-th leading minor of the array is not positive definite")
     return c
@@ -145,9 +157,8 @@ def cho_solve(c, b) -> np.ndarray:
         from scipy import linalg
         return linalg.cho_solve((c, False), b)
     c, x = np.asfortranarray(c, dtype=np.float64), np.array(b, dtype=np.float64, order="F")
-    _finite(c, x)
-    n = max(1, c.shape[0])
-    copy.lapack("potrs", b"U", c.shape[0], x.shape[1] if x.ndim == 2 else 1, c, n, x, n)
+    n = _checked(c, x)
+    copy.lapack("potrs", b"U", n, x.shape[1] if x.ndim == 2 else 1, c, max(1, n), x, max(1, n))
     return x
 
 

@@ -148,15 +148,28 @@ def test_lstsq_fallback_matches_scipy_bitwise(m, p, seed):
     _same(np.linalg.lstsq(G, theta, rcond=np.finfo(np.float64).eps)[0], sla.lstsq(G, theta)[0])
 
 
-@pytest.mark.parametrize("call", [
-    lambda: blas.solve_triangular(np.array([[1.0, np.nan], [0.0, 1.0]]), np.ones(2)),
-    lambda: blas.solve_triangular(np.eye(2), np.array([np.inf, 1.0])),
-    lambda: blas.cho_factor(np.array([[np.nan]])),
-    lambda: blas.cho_solve(np.eye(2), np.array([1.0, np.nan])),
-], ids=["triangular-matrix", "triangular-rhs", "factor", "solve-rhs"])
-def test_a_non_finite_input_raises_value_error(call):
-    with pytest.raises(ValueError, match="infs or NaNs"):
+@pytest.mark.parametrize("call, message", [
+    (lambda: blas.solve_triangular(np.array([[1.0, np.nan], [0.0, 1.0]]), np.ones(2)), "infs or NaNs"),
+    (lambda: blas.solve_triangular(np.eye(2), np.array([np.inf, 1.0])), "infs or NaNs"),
+    (lambda: blas.cho_factor(np.array([[np.nan]])), "infs or NaNs"),
+    (lambda: blas.cho_solve(np.eye(2), np.array([1.0, np.nan])), "infs or NaNs"),
+    (lambda: blas.solve_triangular(np.ones((2, 3)), np.ones(2)), "expected square matrix"),
+    (lambda: blas.cho_factor(np.ones(3)), "expected square matrix"),
+    (lambda: blas.cho_solve(np.eye(2), np.ones(3)), "incompatible"),
+    (lambda: blas.solve_triangular(np.eye(2), np.ones((2, 2, 1))), "incompatible"),
+], ids=["triangular-matrix", "triangular-rhs", "factor", "solve-rhs", "not-square", "vector", "rows", "rank-3"])
+def test_a_bad_input_raises_value_error_before_the_call(call, message):
+    with pytest.raises(ValueError, match=message):
         call()
+
+
+@needs_numpy_copy
+@pytest.mark.parametrize("args", [(b"U", 2, np.eye(2), 2), (b"U", 2, np.eye(2, dtype=np.float32).T, 2),
+                                  (b"U", 2, np.asfortranarray(np.eye(2)))],
+                         ids=["c-ordered", "float32", "too-few"])
+def test_the_binding_refuses_what_lapack_cannot_read(args):
+    with pytest.raises(ValueError):
+        NUMPY.lapack("potrf", *args)
 
 
 # numpy's thread count around the calls
