@@ -35,10 +35,11 @@ NEUMANN_TOL = 1e-10
 NEUMANN_MAX_TERMS = 10_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LimParams:
     """First-order spillover parameters: one autoregressive scalar plus
-    own- and neighbor-covariate coefficient vectors."""
+    own- and neighbor-covariate coefficient vectors.  Parameters compare
+    and hash by identity, as their coefficient arrays cannot."""
 
     rho: float
     beta: np.ndarray
@@ -65,9 +66,10 @@ class LimParams:
         return cls(alpha=alpha, beta=blocks[0], delta=blocks[1], rho=rhos[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Lim2Params:
-    """Second-order spillover parameters with two autoregressive scalars."""
+    """Second-order spillover parameters with two autoregressive scalars,
+    compared and hashed by identity as :class:`LimParams` are."""
 
     rho1: float
     rho2: float

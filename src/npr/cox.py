@@ -182,7 +182,7 @@ def fit_cox(design: PropagatedDesign, surv: SurvivalData, tol: float = DEFAULT_S
     (any multiplicative constant is absorbed by the baseline hazard).
     Convergence and step-halving behave exactly as in the logistic fitter.
     """
-    columns = fit_inputs(design, "cox", centered=False)
+    columns = fit_inputs(design, "cox")
     if surv.n != design.n_rows:
         raise InputValueError(f"survival data has {surv.n} rows, design has {design.n_rows}",
                               "time", "event", "covariates")

@@ -43,15 +43,15 @@ class PropagatedDesign:
     ``matrix`` holds every column in one C-contiguous ``(n, (K+1)d)``
     array; column c is covariate ``c % d`` diffused ``c // d`` steps.
     ``selected`` lists the column indices admitted by forward selection, in
-    scan order; ``column_means`` records the means subtracted when the
-    design was centered (needed to center new rows consistently at
-    prediction time).
+    scan order.  ``column_means`` holds the means that :func:`center`
+    subtracted from every column, which new rows need to be centered the
+    same way at prediction time: a design is centered exactly when it
+    carries them, and a hand-built centered design passes them.
     """
 
     matrix: np.ndarray
     K: int
     selected: list[int] | None = None
-    centered: bool = False
     column_means: np.ndarray | None = None
 
     def __post_init__(self):
@@ -86,7 +86,7 @@ class PropagatedDesign:
     def subset_rows(self, rows) -> "PropagatedDesign":
         """New design restricted to the given rows.
 
-        K, selection and centering metadata carry over unchanged;
+        K, selection and ``column_means`` carry over unchanged:
         ``column_means`` still describes the transform originally applied,
         not the subset's own means.
         """
@@ -94,7 +94,6 @@ class PropagatedDesign:
             matrix=self.matrix[np.asarray(rows)],
             K=self.K,
             selected=None if self.selected is None else list(self.selected),
-            centered=self.centered,
             column_means=None if self.column_means is None else self.column_means.copy(),
         )
 
@@ -120,7 +119,7 @@ def center(design: PropagatedDesign) -> PropagatedDesign:
         else:
             means = M.mean(axis=0)
         prior = design.column_means if design.column_means is not None else 0.0
-        return replace(design, matrix=M - means, centered=True, column_means=prior + means)
+        return replace(design, matrix=M - means, column_means=prior + means)
 
 
 def center_response(y: np.ndarray) -> np.ndarray:
@@ -223,18 +222,19 @@ def _mgs_columns(M: np.ndarray, tol: float, names: list[str] | None = None) -> l
     return kept
 
 
-def fit_inputs(design: PropagatedDesign, family: str, centered: bool) -> dict:
-    """The :class:`FitRecord` fields that describe the columns a family fits.
+def fit_inputs(design: PropagatedDesign, family: str) -> dict:
+    """The :class:`FitRecord` fields that describe the columns ``family`` fits.
 
-    The design must be forward-selected and centered exactly when the
-    family needs it (the gaussian family does; logistic and cox do not).
-    No columns are copied here: each family makes the one copy its
-    products read, in the layout whose bits it keeps, straight from
-    ``design.matrix``.
+    The design must be forward-selected, and centered exactly when the
+    family is gaussian: least squares fits the centered design, while
+    logistic and cox fit the raw one.  No columns are copied here: each
+    family makes the one copy its products read, in the layout whose bits
+    it keeps, straight from ``design.matrix``.
     """
     if design.selected is None:
         raise ValueError("design must be forward-selected before fitting")
-    if design.centered != centered:
+    centered = family == "gaussian"
+    if (design.column_means is not None) != centered:
         need = "a centered" if centered else "the uncentered"
         raise ValueError(f"{family} fits use {need} design")
     return {
@@ -338,7 +338,7 @@ class FitRecord:
         """The fit's selected columns of a raw design with the fit's ``d`` that holds every one of them."""
         if design_new.d != self.d or max(self.selected, default=-1) >= design_new.n_columns:
             raise ValueError("provenance mismatch between fit and new design")
-        if design_new.centered:
+        if design_new.column_means is not None:
             raise ValueError("predictions use the raw (uncentered) design")
         return design_new.full_matrix()[:, self.selected]
 

@@ -28,7 +28,7 @@ Z_95 = 1.959964  # two-sided 95% normal quantile used for intervals
 # Restriction dimension at and above which the normal approximation
 # replaces the chi-square reference for Wald p-values.  The chi-square
 # reference is essentially exact for Gaussian errors at any fixed
-# dimension, so the switch is set high and is configurable per call.
+# dimension, so the switch is set high; no caller needs another value.
 NORMAL_APPROX_MIN_DIM = 128
 
 
@@ -43,7 +43,7 @@ class GaussianFit(FitRecord):
     gram: np.ndarray
     gram_inverse: np.ndarray
     std_errors: np.ndarray
-    column_means: np.ndarray | None
+    column_means: np.ndarray
     y_mean: float
 
     @property
@@ -113,11 +113,11 @@ def _in_units(values: np.ndarray, exponents, *inputs: str) -> np.ndarray:
 def fit_ols(design: PropagatedDesign, y: np.ndarray) -> GaussianFit:
     """Least-squares fit of a centered, forward-selected design.
 
-    The response is centered internally when the design is centered (a
-    no-op for pre-centered input), and the centering constants are kept on
-    the fit so new rows can be predicted consistently.
+    The response is centered internally (a no-op for pre-centered input);
+    its mean and the design's ``column_means`` are kept on the fit so new
+    rows can be predicted consistently.
     """
-    columns = fit_inputs(design, "gaussian", centered=True)
+    columns = fit_inputs(design, "gaussian")
     X = design.selected_matrix()
     n, p = X.shape
     y = np.asarray(y, dtype=np.float64).ravel()
@@ -175,10 +175,6 @@ def fit_ols(design: PropagatedDesign, y: np.ndarray) -> GaussianFit:
     rss, sigma2 = _in_units(np.array([rss, sigma2]), 2 * ey, "response").tolist()
     theta, std_errors = _in_units(np.array([theta, std_errors]), ey - ex, "covariates", "response")
 
-    means = None
-    if design.column_means is not None:
-        means = design.column_means[design.selected]
-
     return GaussianFit(
         theta_hat=theta,
         rss=rss,
@@ -186,7 +182,7 @@ def fit_ols(design: PropagatedDesign, y: np.ndarray) -> GaussianFit:
         gram=gram,
         gram_inverse=gram_inverse,
         std_errors=std_errors,
-        column_means=means,
+        column_means=design.column_means[design.selected],
         y_mean=y_mean,
         **columns,
     )
@@ -200,8 +196,7 @@ def predict(fit: GaussianFit, design_new: PropagatedDesign) -> np.ndarray:
     """
     M = fit.gather(design_new)  # a fresh copy, safe to center in place
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite prediction is refused
-        if fit.column_means is not None:
-            M -= fit.column_means
+        M -= fit.column_means
         return finite_prediction(fit.y_mean + M @ fit.theta_hat)
 
 
@@ -289,16 +284,20 @@ class OrderTestReport:
     """Outcome of the sequential propagation-order tests.
 
     One record per tested order j with its restriction dimension, Wald
-    statistic, standardized statistic, p-value and reference regime;
-    ``selected_order`` is the smallest j whose hypothesis survives Holm
-    (all effects of order >= j judged absent), or k_max + 1 when every
-    hypothesis is rejected.
+    statistic, standardized statistic, p-value and reference regime, and
+    Holm's decision on each.
     """
 
     records: list[dict]
     holm_rejections: list[bool]
-    selected_order: int
     alpha: float
+
+    @property
+    def selected_order(self) -> int:
+        """The smallest j whose hypothesis survives Holm (all effects of
+        order >= j judged absent), or k_max + 1 when every one is rejected."""
+        return next((j for j, rejected in enumerate(self.holm_rejections) if not rejected),
+                    len(self.holm_rejections))
 
     def to_dict(self) -> dict:
         return {
@@ -323,15 +322,15 @@ def order_test(
     design: PropagatedDesign | None,
     k_max: int,
     xi: float = 0.05,
-    normal_approx_min_dim: int = NORMAL_APPROX_MIN_DIM,
 ) -> OrderTestReport:
     """Sequential Wald tests for orders j = 0..k_max with Holm correction.
 
     For each j the hypothesis is that all coefficients of order >= j are
     zero.  P-values use the chi-square(m) upper tail for restriction
-    dimension below ``normal_approx_min_dim`` and otherwise the normal
+    dimension below ``NORMAL_APPROX_MIN_DIM`` and otherwise the normal
     approximation ``2(1 - Phi(Z))`` with ``Z = (T - m)/sqrt(2m)``, clamped
-    to [0, 1].
+    to [0, 1].  Holm's decisions on these p-values give the report's
+    ``selected_order``.
     """
     if not 0 < xi < 1:
         raise ValueError("xi must lie in (0, 1)")
@@ -346,7 +345,7 @@ def order_test(
             rec.update({"Z": 0.0, "p": 1.0, "regime": "empty", "no_columns": True})
         else:
             z = (T - m) / math.sqrt(2.0 * m)
-            if m < normal_approx_min_dim:
+            if m < NORMAL_APPROX_MIN_DIM:
                 p = _chi2_sf(T, m)
                 regime = "chi2"
             else:
@@ -356,13 +355,8 @@ def order_test(
                 regime = "normal"
             rec.update({"Z": z, "p": p, "regime": regime})
         records.append(rec)
-    pvals = np.asarray([r["p"] for r in records])
-    rejected = holm_reject(pvals, xi)
-    not_rejected = np.flatnonzero(~rejected)
-    selected_order = int(not_rejected[0]) if not_rejected.size else k_max + 1
     return OrderTestReport(
         records=records,
-        holm_rejections=rejected.tolist(),
-        selected_order=selected_order,
+        holm_rejections=holm_reject([r["p"] for r in records], xi).tolist(),
         alpha=xi,
     )

@@ -73,13 +73,14 @@ class DirectedGraph:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RowStochasticOperator:
     """Row-normalized adjacency operator stored in compressed sparse row form.
 
     Every row with at least one out-neighbor carries uniform weights summing
     to one; rows of isolated nodes are exactly zero.  Immutable after
-    construction and safe to share across threads.
+    construction and safe to share across threads.  Operators compare and
+    hash by identity, as their sparse matrices cannot.
     """
 
     n_nodes: int

@@ -78,7 +78,7 @@ def fit_logistic(design: PropagatedDesign, y: np.ndarray, tol: float = DEFAULT_S
     """
     from scipy.special import expit  # imported here, not at start-up: the studies never need it
 
-    columns = fit_inputs(design, "logistic", centered=False)
+    columns = fit_inputs(design, "logistic")
     y = np.asarray(y, dtype=np.float64).ravel()
     if y.shape[0] != design.n_rows:
         raise InputValueError(f"response has {y.shape[0]} rows, design has {design.n_rows}", "response", "covariates")

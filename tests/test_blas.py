@@ -112,7 +112,7 @@ def _fit_with(G, theta, n=100):
     statistic solves ``G x = theta``."""
     p = len(theta)
     return gaussian.GaussianFit(theta_hat=theta, rss=float(n - p), sigma2_hat=1.0, gram=np.eye(p), gram_inverse=G,
-                                std_errors=np.ones(p), column_means=None, y_mean=0.0, selected=list(range(p)),
+                                std_errors=np.ones(p), column_means=np.zeros(p), y_mean=0.0, selected=list(range(p)),
                                 K=0, d=p, n=n)
 
 

@@ -16,7 +16,7 @@ from types import SimpleNamespace
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import npr
@@ -1471,6 +1471,13 @@ class TestInvariance:
     inputs that ``inputs`` maps the toy file names to."""
 
     TOL = 1e-8  # the fits' --tol
+    # a QR of the same columns in another order, or of permuted rows, is accurate
+    # to about eps times the coefficients' scale, not each coefficient's own
+    THETA_RTOL = 1e-12
+
+    @classmethod
+    def assert_gaussian_estimates_agree(cls, got: np.ndarray, base: np.ndarray) -> None:
+        assert np.abs(got - base).max(initial=0.0) <= cls.THETA_RTOL * np.abs(base).max(initial=0.0)
 
     def fit(self, tmp_path, family: str, replaced: dict) -> dict:
         out = tmp_path / "fit.json"
@@ -1504,8 +1511,8 @@ class TestInvariance:
                for c in self.fit(tmp_path, family, {**inputs, "covariates.csv": swapped})["coefficients"]}
         assert got.keys() == base.keys()
         names = sorted(base)
-        if family == "gaussian":  # QR of the same columns in another order
-            np.testing.assert_allclose([got[k] for k in names], [base[k] for k in names], rtol=1e-12, atol=0)
+        if family == "gaussian":
+            self.assert_gaussian_estimates_agree(np.array([got[k] for k in names]), np.array([base[k] for k in names]))
         else:
             # Newton stops once its step's max-norm falls below --tol, so each
             # fit lies within about one step, TOL, of the optimum
@@ -1540,11 +1547,13 @@ class TestInvariance:
         # relabelled sums (the propagation, the means), which move it by some ulps
         W = row_normalize(read_edge_list(paths["edges.csv"], n_nodes=X.shape[0]))
         S = build_design(W, X, 2).full_matrix()[:, base["selected_columns"]]
-        if family == "gaussian":  # QR of the same columns in permuted rows
-            np.testing.assert_allclose(got_theta, theta, rtol=1e-12, atol=0)
-            # y_mean + (S - m) theta, with theta within 1e-12 relative
-            scale = abs(base["gaussian"]["y_mean"]) + np.abs(S - base["gaussian"]["column_means"]) @ np.abs(theta)
-            bound = 2e-12 * scale
+        if family == "gaussian":
+            self.assert_gaussian_estimates_agree(got_theta, theta)
+            # y_mean + (S - m) theta: each estimate moves by at most THETA_RTOL max|theta|, which moves
+            # the row by THETA_RTOL max|theta| sum|S - m|; the relabelled sums (the propagation, the
+            # means) move it by some ulps, under THETA_RTOL (|y_mean| + |S - m| |theta|)
+            spread = np.abs(S - base["gaussian"]["column_means"])
+            bound = self.THETA_RTOL * (abs(base["gaussian"]["y_mean"]) + spread @ (np.abs(theta) + np.abs(theta).max()))
         else:
             # Newton stops once its step's max-norm falls below --tol, so each estimate, and the
             # intercept, lies within 2 TOL: each linear predictor within 2 TOL (1 + sum |S|)
@@ -1570,11 +1579,22 @@ class TestInvariance:
     def test_relabelled_nodes_give_the_same_fit_and_the_same_predictions(self, tmp_path, family, seed):
         self.check_relabelled_nodes(tmp_path, family, {}, seed)
 
+    def test_the_gaussian_bound_catches_one_estimate_moved_by_1e_10_of_the_largest(self, tmp_path):
+        theta = np.array([c["estimate"] for c in self.fit(tmp_path, "gaussian", {})["coefficients"]])
+        self.assert_gaussian_estimates_agree(theta, theta)
+        for j in range(theta.size):
+            moved = theta.copy()
+            moved[j] += 1e-10 * np.abs(theta).max()
+            with pytest.raises(AssertionError):
+                self.assert_gaussian_estimates_agree(moved, theta)
+
     # Gaussian only: a logistic or cox fit on a relabelled random graph can stop more than 2 TOL
     # from the unpermuted one (Newton's stopping rule, ROADMAP's Parked items), so those families
     # wait for that rule's mending rather than a wider bound
     @given(generator=st.sampled_from(["gen_erdos_renyi", "gen_sbm", "gen_powerlaw"]),
            n=st.integers(80, 150), seed=st.integers(0, 2 ** 32 - 1))
+    # a near-zero estimate that a reordered QR moves by 1e-16, relative 4e-12 of its own value
+    @example(generator="gen_sbm", n=128, seed=16777217)
     @settings(max_examples=50, deadline=None)
     def test_random_graphs_keep_all_three_invariances_in_a_gaussian_fit(self, generator, n, seed):
         import npr.graph
@@ -1662,69 +1682,83 @@ class TestManifest:
             assert type(manifest["seed"]) is int and "seed" not in manifest["arguments"]
 
 
-def cli_import_modules(*prefixes: str, argv: list[str] | None = None) -> list[str]:
-    """The modules under any of ``prefixes`` that a fresh ``import npr.cli``
-    loads, and then, given ``argv``, a successful ``npr.cli.main(argv)``."""
-    code = ("import json, sys, npr.cli\n"
-            + (f"assert npr.cli.main({argv!r}) == 0\n" if argv else "")
-            + f"print(json.dumps([m for m in sys.modules if m.startswith({prefixes!r})]))")
-    out = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, check=True)
-    return json.loads(out.stdout.splitlines()[-1])
-
-
-def test_cli_import_leaves_scipy_stats_out():
-    # the CLI's start-up cost is mostly imports; scipy.stats alone costs
-    # about as much as the rest of them together
-    assert cli_import_modules("scipy.stats") == []
-
-
-def test_cli_import_leaves_jsonschema_out():
-    # reports are checked by npr.schemas' own interpreter; jsonschema is
-    # imported only to raise on a report that fails its schema
-    assert cli_import_modules("jsonschema", "referencing") == []
-
-
 DEFERRED_SCIPY = ("scipy.special", "scipy.sparse.linalg")
-
-
-def test_cli_import_leaves_scipy_special_and_sparse_linalg_out():
-    # scipy.special serves only p-values and the logistic link, and
-    # scipy.sparse.linalg only the 2SLS competitor's direct-solve fallback
-    assert cli_import_modules(*DEFERRED_SCIPY) == []
-
-
-def test_prediction_study_loads_neither_scipy_special_nor_sparse_linalg(tmp_path):
-    argv = ["simulate", "--case", "3", "--setting", "1", "--n", "200", "--reps", "2", "--seed", "1",
-            "--out", str(tmp_path / "study.json")]
-    assert cli_import_modules(*DEFERRED_SCIPY, argv=argv) == []
-
-
-SCIPY_LINALG_FREE = {  # each command on the toy inputs
+WATCHED_MODULES = ("scipy.stats", "jsonschema", "referencing", *DEFERRED_SCIPY, "scipy.linalg")
+COMMANDS_IN_ONE_CHILD = {  # each command on the toy inputs, in the order one interpreter runs them
+    # first: a prediction study loads neither deferred module, and later commands load scipy.special
+    "simulate": ["simulate", "--case", "3", "--setting", "1", "--n", "200", "--reps", "2", "--seed", "1"],
+    # before test, simulate-test and logistic, which load scipy.special too
     "gaussian": toy_argv("gaussian", {}),
     "logistic": toy_argv("logistic", {}),
     "cox": toy_argv("cox", {}),
     "test": ["test", "--fit", str(TOY / "golden_fit.json"), "--kmax", "2"],
     "predict": toy_argv("predict", {}),
-    "simulate": ["simulate", "--case", "3", "--setting", "1", "--n", "200", "--reps", "2", "--seed", "1"],
     "simulate-test": ["simulate-test", "--case", "1", "--nulls", "2", "--n", "60", "--reps", "2", "--seed", "1"],
     "eval-auc": toy_argv("eval-auc", {}) + ["--seed", "11"],  # each split of seed 11 holds both classes
 }
 
 
-def test_cli_import_leaves_scipy_linalg_out():
+@pytest.fixture(scope="module")
+def loaded_modules(tmp_path_factory) -> dict[str, list[str]]:
+    """The modules under ``WATCHED_MODULES`` that one fresh interpreter holds
+    after ``import npr.cli`` (key ``"import"``), and then after each successful
+    ``npr.cli.main`` of ``COMMANDS_IN_ONE_CHILD``, in its order.  Modules only
+    accumulate, so one absent after a command was loaded by none before it:
+    as strong a check as a fresh interpreter for each command."""
+    out = tmp_path_factory.mktemp("commands")
+    steps = {name: [*argv, "--out", str(out / name)] for name, argv in COMMANDS_IN_ONE_CHILD.items()}
+    code = (f"import json, sys, npr.cli\n"
+            f"def loaded(): return [m for m in sys.modules if m.startswith({WATCHED_MODULES!r})]\n"
+            f"steps = {{'import': loaded()}}\n"
+            f"for name, argv in {steps!r}.items():\n"
+            f"    assert npr.cli.main(argv) == 0, name\n"
+            f"    steps[name] = loaded()\n"
+            f"print(json.dumps(steps))")
+    done = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def under(modules: list[str], *prefixes: str) -> list[str]:
+    return [m for m in modules if m.startswith(prefixes)]
+
+
+def test_cli_import_leaves_scipy_stats_out(loaded_modules):
+    # the CLI's start-up cost is mostly imports; scipy.stats alone costs
+    # about as much as the rest of them together
+    assert under(loaded_modules["import"], "scipy.stats") == []
+
+
+def test_cli_import_leaves_jsonschema_out(loaded_modules):
+    # reports are checked by npr.schemas' own interpreter; jsonschema is
+    # imported only to raise on a report that fails its schema
+    assert under(loaded_modules["import"], "jsonschema", "referencing") == []
+
+
+def test_cli_import_leaves_scipy_special_and_sparse_linalg_out(loaded_modules):
+    # scipy.special serves only p-values and the logistic link, and
+    # scipy.sparse.linalg only the 2SLS competitor's direct-solve fallback
+    assert under(loaded_modules["import"], *DEFERRED_SCIPY) == []
+
+
+def test_prediction_study_loads_neither_scipy_special_nor_sparse_linalg(loaded_modules):
+    assert under(loaded_modules["simulate"], *DEFERRED_SCIPY) == []
+
+
+def test_cli_import_leaves_scipy_linalg_out(loaded_modules):
     # npr's p x p solves call numpy's own LAPACK; scipy.linalg loads only
     # when numpy runs on another BLAS, and only at a solve
-    assert cli_import_modules("scipy.linalg") == []
+    assert under(loaded_modules["import"], "scipy.linalg") == []
 
 
 @pytest.mark.skipif(npr._blas._load_numpy() is None, reason="numpy does not run on its bundled OpenBLAS")
-@pytest.mark.parametrize("command", SCIPY_LINALG_FREE)
-def test_no_command_loads_scipy_linalg(tmp_path, command):
-    argv = SCIPY_LINALG_FREE[command] + ["--out", str(tmp_path / "out")]
-    assert cli_import_modules("scipy.linalg", argv=argv) == []
+@pytest.mark.parametrize("command", COMMANDS_IN_ONE_CHILD)
+def test_no_command_loads_scipy_linalg(loaded_modules, command):
+    loader = next((name for name, modules in loaded_modules.items() if under(modules, "scipy.linalg")), None)
+    assert under(loaded_modules[command], "scipy.linalg") == [], f"scipy.linalg loaded at {loader}"
 
 
-def test_gaussian_fit_loads_scipy_special(tmp_path):
-    # the t statistics' p-values need it, so the checks above are not vacuous
-    argv = toy_argv("gaussian", {}) + ["--out", str(tmp_path / "fit.json")]
-    assert "scipy.special" in cli_import_modules(*DEFERRED_SCIPY, argv=argv)
+def test_gaussian_fit_loads_scipy_special(loaded_modules):
+    # the t statistics' p-values need it, so the checks above are not vacuous;
+    # the prediction study before it did not load it
+    assert "scipy.special" not in loaded_modules["simulate"]
+    assert "scipy.special" in loaded_modules["gaussian"]

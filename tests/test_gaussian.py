@@ -1,3 +1,4 @@
+import json
 import math
 import struct
 import tracemalloc
@@ -12,6 +13,8 @@ from npr import gaussian
 from npr.design import PropagatedDesign, build_design, center, forward_select
 from npr.exceptions import InputValueError, ModelError, SingularMatrixError
 from npr.gaussian import (
+    GaussianFit,
+    OrderTestReport,
     _qr,
     fit_ols,
     holm_reject,
@@ -88,7 +91,7 @@ class TestFitOls:
             matrix=rng.standard_normal((4, 5)),
             K=0,
             selected=list(range(5)),
-            centered=True,
+            column_means=np.zeros(5),
         )
         with pytest.raises(ValueError, match="insufficient"):
             fit_ols(design, np.zeros(4))
@@ -100,7 +103,7 @@ class TestFitOls:
         rng = np.random.default_rng(6)
         M = rng.standard_normal((40, 3))
         M[:, 2] = np.ldexp(3.0 * M[:, 0], k)
-        design = PropagatedDesign(matrix=M - M.mean(axis=0), K=0, selected=[0, 1, 2], centered=True)
+        design = PropagatedDesign(matrix=M - M.mean(axis=0), K=0, selected=[0, 1, 2], column_means=M.mean(axis=0))
         with pytest.raises(SingularMatrixError, match="numerically singular"):
             fit_ols(design, rng.standard_normal(40))
 
@@ -149,6 +152,21 @@ class TestFitOls:
         )
         assert np.abs(predict(fit, raw) - fitted).max() < 1e-12
 
+    def test_a_hand_built_centered_design_predicts_raw_rows_after_a_report_round_trip(self):
+        # a design is centered exactly when it carries its column means, so a
+        # hand-built one passes them, and every prediction subtracts them
+        rng = np.random.default_rng(10)
+        rows = 5.0 + rng.standard_normal((50, 3))
+        means = rows.mean(axis=0)
+        design = PropagatedDesign(matrix=rows - means, K=0, selected=[0, 1, 2], column_means=means)
+        fit = fit_ols(design, rows @ [1.0, -2.0, 0.5] + rng.standard_normal(50))
+        back = GaussianFit.from_report(json.loads(json.dumps(fit.to_report())), "fit.json")
+        assert np.array_equal(back.column_means, means)
+        M = np.asfortranarray(rows) - means  # the F-ordered gather's bits
+        raw = PropagatedDesign(matrix=rows, K=0)
+        for f in (fit, back):
+            assert np.array_equal(predict(f, raw), f.y_mean + M @ f.theta_hat)
+
     def test_fit_and_predict_leave_the_designs_unchanged(self):
         # fit_ols factors its gather in place: whatever the layout of the
         # caller's matrix and whichever columns are selected, the gather
@@ -177,7 +195,7 @@ class TestFitOls:
             matrix=M - M.mean(axis=0),
             K=0,
             selected=list(range(p)),
-            centered=True,
+            column_means=M.mean(axis=0),
         )
         y = rng.standard_normal(n)
         tracemalloc.start()
@@ -469,17 +487,21 @@ class TestOrderTest:
         else:
             assert not report.holm_rejections[report.selected_order]
             assert all(report.holm_rejections[: report.selected_order])
+        # the first order Holm retains, or k_max + 1 when it rejects every one
+        for rejections, order in (([False], 0), ([True, False, True], 1), ([True, True, True], 3)):
+            assert OrderTestReport(records=[], holm_rejections=rejections, alpha=0.05).selected_order == order
 
-    def test_regime_switch_configurable(self):
-        rng = np.random.default_rng(18)
-        design, y, _ = fitted_random(rng, n=300, d=4, K=3)
-        fit = fit_ols(design, y)
-        chi = order_test(fit, design, k_max=2, normal_approx_min_dim=1_000)
-        norm = order_test(fit, design, k_max=2, normal_approx_min_dim=1)
-        assert all(r["regime"] == "chi2" for r in chi.records)
-        assert all(r["regime"] == "normal" for r in norm.records)
-        for r in norm.records:
-            assert 0.0 <= r["p"] <= 1.0
+    @pytest.mark.parametrize("m, regime", [(127, "chi2"), (128, "normal")])
+    def test_regime_switches_to_normal_at_128_columns(self, m, regime):
+        # m order-0 columns: the order-0 restriction is every column, and its
+        # statistic n theta'theta / sigma2 is a chi-square(m) draw
+        rng = np.random.default_rng(m)
+        fit = GaussianFit(theta_hat=rng.standard_normal(m) / math.sqrt(1000), rss=float(1000 - m), sigma2_hat=1.0,
+                          gram=np.eye(m), gram_inverse=np.eye(m), std_errors=np.ones(m), column_means=np.zeros(m),
+                          y_mean=0.0, selected=list(range(m)), K=0, d=m, n=1000)
+        (record,) = order_test(fit, None, k_max=0).records
+        assert (record["m"], record["regime"]) == (m, regime)
+        assert 0.0 < record["p"] < 1.0
 
     def test_invalid_inputs(self):
         rng = np.random.default_rng(19)

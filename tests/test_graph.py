@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from npr.baselines import Lim2Params, LimParams
 from npr.design import read_covariates
 import npr.graph
 from npr.graph import (
@@ -54,11 +55,20 @@ class TestDirectedGraph:
             DirectedGraph(n_nodes=n, edges=[(n - 1, n - 2), (n - 1, n - 2)])
 
     def test_equality_is_identity_and_graphs_hash(self):
-        g = DirectedGraph(3, [[0, 1], [2, 1]])
-        twin = DirectedGraph(3, [[0, 1], [2, 1]])
-        assert g == g and g != twin
-        assert hash(g) != hash(twin)
-        assert {g: 1, twin: 2}[g] == 1
+        # so do the other frozen records that hold arrays: operators and spillover parameters
+        makers = [
+            lambda: DirectedGraph(3, [[0, 1], [2, 1]]),
+            lambda: row_normalize(DirectedGraph(3, [[0, 1], [2, 1]])),
+            lambda: LimParams(rho=0.3, beta=[1.0, 2.0], delta=[0.5, -0.5]),
+            lambda: Lim2Params(rho1=0.2, rho2=0.1, gamma1=[1.0, 2.0], gamma2=[0.5, 0.5], gamma3=[0.25, 0.0]),
+        ]
+        for make in makers:
+            g, twin = make(), make()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # a sparse comparison would warn
+                assert g == g and g != twin
+            assert hash(g) != hash(twin)
+            assert {g: 1, twin: 2}[g] == 1
 
     def test_summary(self):
         g = DirectedGraph(n_nodes=4, edges=[(0, 1), (1, 2), (2, 3)])
